@@ -2,12 +2,19 @@
 //! table B-trees) and index trees (keyed by the order-preserving encoded
 //! key from [`crate::record`]).
 //!
-//! Pages are read and written whole through the [`Pager`], so every
-//! structural change flows through the journal mode under test — B-tree
-//! splits are precisely the multi-page updates whose atomicity the paper
-//! is about. Large payloads spill to overflow page chains, which is how
-//! the Facebook trace's thumbnail blobs (§6.3.2) exercise multi-page
-//! writes per insert.
+//! Pages are searched where they sit in the pager cache
+//! ([`Pager::with_page`]), as SQLite searches its own page format: table
+//! interior pages are binary-searched on their fixed 12-byte cells, and
+//! leaf and index pages are walked and bounds-checked in place, copying
+//! out only the payload asked for. A leaf change that fits its page — an
+//! insert, a replacement or a delete — is spliced into the cached bytes
+//! ([`Pager::with_page_mut`]). Only nodes that split or merge are decoded
+//! into a [`Node`] and re-encoded, and an in-place edit writes exactly
+//! the bytes that re-encoding would. Every change still flows through the
+//! journal mode under test — B-tree splits are precisely the multi-page
+//! updates whose atomicity the paper is about. Large payloads spill to
+//! overflow page chains, which is how the Facebook trace's thumbnail
+//! blobs (§6.3.2) exercise multi-page writes per insert.
 
 use xftl_ftl::BlockDevice;
 
@@ -21,6 +28,11 @@ const T_INDEX_INT: u8 = 4;
 
 /// Page header bytes before the cell area.
 const HDR: usize = 12;
+/// Fixed head of a table-leaf cell: rowid, total and local payload
+/// lengths, overflow head.
+const LEAF_HEAD: usize = 20;
+/// Bytes of a table-interior cell: child page, then separator rowid.
+const INT_CELL: usize = 12;
 
 /// A table-leaf payload: a local prefix plus an optional overflow chain.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,7 +42,7 @@ struct Payload {
     overflow: PageNo, // 0 = none
 }
 
-/// In-RAM image of one B-tree page.
+/// Decoded image of one B-tree page, for nodes being restructured.
 #[derive(Debug, Clone)]
 enum Node {
     TableLeaf {
@@ -49,81 +61,325 @@ enum Node {
     },
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// `N` bytes at `off`, or `None` past the end of `buf`.
+fn le<const N: usize>(buf: &[u8], off: usize) -> Option<[u8; N]> {
+    buf.get(off..off.checked_add(N)?)?.try_into().ok()
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Head of a table-leaf cell.
+fn leaf_head(rowid: i64, p: &Payload) -> [u8; LEAF_HEAD] {
+    let mut head = [0u8; LEAF_HEAD];
+    let fields: [&[u8]; 4] = [
+        &rowid.to_le_bytes(),
+        &p.total_len.to_le_bytes(),
+        &(p.local.len() as u32).to_le_bytes(),
+        &p.overflow.to_le_bytes(),
+    ];
+    let mut at = 0;
+    for f in fields {
+        head[at..at + f.len()].copy_from_slice(f);
+        at += f.len();
+    }
+    head
 }
 
-fn rd_u16(buf: &[u8], off: usize) -> u16 {
-    let mut b = [0u8; 2];
-    b.copy_from_slice(&buf[off..off + 2]);
-    u16::from_le_bytes(b)
+/// Length prefix of an index key.
+fn key_len(key: &[u8]) -> [u8; 2] {
+    (key.len() as u16).to_le_bytes()
 }
 
-fn rd_u32(buf: &[u8], off: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&buf[off..off + 4]);
-    u32::from_le_bytes(b)
+/// Decodes a table-interior cell into (child, separator rowid).
+fn int_cell(c: &[u8; INT_CELL]) -> (PageNo, i64) {
+    let [p0, p1, p2, p3, k0, k1, k2, k3, k4, k5, k6, k7] = *c;
+    (
+        u32::from_le_bytes([p0, p1, p2, p3]),
+        i64::from_le_bytes([k0, k1, k2, k3, k4, k5, k6, k7]),
+    )
 }
 
-fn rd_u64(buf: &[u8], off: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&buf[off..off + 8]);
-    u64::from_le_bytes(b)
+/// Header of a B-tree page.
+#[derive(Debug, Clone, Copy)]
+struct Header {
+    kind: u8,
+    count: usize,
+    /// Rightmost child (interior pages).
+    right: PageNo,
+}
+
+fn header(buf: &[u8]) -> Result<Header> {
+    let (Some(&kind), Some(count), Some(right)) = (buf.first(), le::<2>(buf, 2), le::<4>(buf, 4))
+    else {
+        return Err(DbError::Corrupt("b-tree page header truncated"));
+    };
+    if !(T_TABLE_LEAF..=T_INDEX_INT).contains(&kind) {
+        return Err(DbError::Corrupt("unknown b-tree page type"));
+    }
+    Ok(Header {
+        kind,
+        count: usize::from(u16::from_le_bytes(count)),
+        right: u32::from_le_bytes(right),
+    })
+}
+
+fn is_leaf(kind: u8) -> bool {
+    kind == T_TABLE_LEAF || kind == T_INDEX_LEAF
+}
+
+/// The cells of a table-interior page, bounds-checked as one array.
+fn int_cells(buf: &[u8], h: Header) -> Result<&[[u8; INT_CELL]]> {
+    let area = buf
+        .get(HDR..HDR + INT_CELL * h.count)
+        .ok_or(DbError::Corrupt("interior cell overruns page"))?;
+    Ok(area.as_chunks().0)
+}
+
+/// Position and page of the child of a table-interior page that covers
+/// `rowid`: the first separator `>= rowid`, else the rightmost child.
+fn int_child(buf: &[u8], h: Header, rowid: i64) -> Result<(usize, PageNo)> {
+    let cells = int_cells(buf, h)?;
+    let idx = cells.partition_point(|c| int_cell(c).1 < rowid);
+    Ok((idx, cells.get(idx).map_or(h.right, |c| int_cell(c).0)))
+}
+
+/// One cell, borrowed from its page.
+#[derive(Debug, Clone, Copy)]
+struct Cell<'a> {
+    /// Encoded length in bytes.
+    size: usize,
+    /// Table cells: the rowid (leaf) or separator (interior).
+    rowid: i64,
+    /// Child page (interior cells) or overflow head (table leaf, 0 = none).
+    ptr: PageNo,
+    /// Declared payload length (table leaf).
+    total_len: u32,
+    /// Local payload prefix (table leaf) or key (index cells).
+    bytes: &'a [u8],
+}
+
+fn table_leaf_cell(buf: &[u8], at: usize) -> Option<Cell<'_>> {
+    let local_len = u32::from_le_bytes(le(buf, at + 12)?) as usize;
+    let start = at + LEAF_HEAD;
+    Some(Cell {
+        size: LEAF_HEAD + local_len,
+        rowid: i64::from_le_bytes(le(buf, at)?),
+        ptr: u32::from_le_bytes(le(buf, at + 16)?),
+        total_len: u32::from_le_bytes(le(buf, at + 8)?),
+        bytes: buf.get(start..start.checked_add(local_len)?)?,
+    })
+}
+
+fn index_cell(buf: &[u8], at: usize, interior: bool) -> Option<Cell<'_>> {
+    let (ptr, at_len) = if interior {
+        (u32::from_le_bytes(le(buf, at)?), at + 4)
+    } else {
+        (0, at)
+    };
+    let len = usize::from(u16::from_le_bytes(le(buf, at_len)?));
+    Some(Cell {
+        size: at_len - at + 2 + len,
+        rowid: 0,
+        ptr,
+        total_len: 0,
+        bytes: buf.get(at_len + 2..at_len + 2 + len)?,
+    })
+}
+
+/// Parses the cell of a `kind` page that starts at byte `at`. Table
+/// interior pages are read as one array instead ([`int_cells`]).
+fn parse_cell(buf: &[u8], kind: u8, at: usize) -> Result<Cell<'_>> {
+    match kind {
+        T_TABLE_LEAF => table_leaf_cell(buf, at).ok_or(DbError::Corrupt("leaf cell overruns page")),
+        T_INDEX_LEAF | T_INDEX_INT => index_cell(buf, at, kind == T_INDEX_INT)
+            .ok_or(DbError::Corrupt("index cell overruns page")),
+        _ => Err(DbError::Corrupt("unknown b-tree page type")),
+    }
+}
+
+/// Walks `left` cells of a `kind` page from byte `at`, bounds-checking
+/// each; yields every cell with its offset, and stops after an error.
+struct Cells<'a> {
+    buf: &'a [u8],
+    kind: u8,
+    at: usize,
+    left: usize,
+}
+
+impl<'a> Cells<'a> {
+    fn of(buf: &'a [u8], h: Header) -> Self {
+        Cells {
+            buf,
+            kind: h.kind,
+            at: HDR,
+            left: h.count,
+        }
+    }
+}
+
+impl<'a> Iterator for Cells<'a> {
+    type Item = Result<(usize, Cell<'a>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        let at = self.at;
+        match parse_cell(self.buf, self.kind, at) {
+            Ok(c) => {
+                self.at += c.size;
+                self.left -= 1;
+                Some(Ok((at, c)))
+            }
+            Err(e) => {
+                self.left = 0;
+                Some(Err(e))
+            }
+        }
+    }
+}
+
+/// Where a search key falls on a page.
+#[derive(Debug, Clone, Copy)]
+struct Seek<'a> {
+    /// Index and byte offset of the first cell not ordered before the
+    /// key (`count` and `end` when every cell is).
+    idx: usize,
+    at: usize,
+    /// That cell.
+    cell: Option<Cell<'a>>,
+    /// Bytes in use: the header plus every cell.
+    end: usize,
+}
+
+/// Finds the first cell for which `before` is false. Walks and
+/// bounds-checks every cell of the page, not only those up to the match,
+/// so a search rejects exactly the pages a decode would.
+fn seek<'a>(
+    buf: &'a [u8],
+    h: Header,
+    mut before: impl FnMut(&Cell<'a>) -> bool,
+) -> Result<Seek<'a>> {
+    let mut s = Seek {
+        idx: h.count,
+        at: HDR,
+        cell: None,
+        end: HDR,
+    };
+    for (i, c) in Cells::of(buf, h).enumerate() {
+        let (at, c) = c?;
+        if s.cell.is_none() && !before(&c) {
+            s = Seek {
+                idx: i,
+                at,
+                cell: Some(c),
+                ..s
+            };
+        }
+        s.end = at + c.size;
+    }
+    if s.cell.is_none() {
+        s.at = s.end;
+    }
+    Ok(s)
+}
+
+/// Validates every cell of a page; returns its header and bytes in use.
+fn used(buf: &[u8]) -> Result<(Header, usize)> {
+    let h = header(buf)?;
+    if h.kind == T_TABLE_INT {
+        return Ok((h, HDR + INT_CELL * int_cells(buf, h)?.len()));
+    }
+    Ok((h, seek(buf, h, |_| true)?.end))
+}
+
+/// Child pointers of an interior page in order, the rightmost last.
+fn children(buf: &[u8]) -> Result<Vec<PageNo>> {
+    let h = header(buf)?;
+    let mut kids = match h.kind {
+        T_TABLE_INT => int_cells(buf, h)?.iter().map(|c| int_cell(c).0).collect(),
+        T_INDEX_INT => Cells::of(buf, h)
+            .map(|c| c.map(|(_, c)| c.ptr))
+            .collect::<Result<Vec<_>>>()?,
+        _ => return Err(DbError::Corrupt("leaf page where an interior page belongs")),
+    };
+    kids.push(h.right);
+    Ok(kids)
+}
+
+/// An in-place cell edit: the `remove` bytes at `at` give way to a new
+/// cell, the cells behind it up to `end` move, and the page's cell count
+/// becomes `count`.
+#[derive(Debug, Clone, Copy)]
+struct Splice {
+    at: usize,
+    remove: usize,
+    end: usize,
+    count: usize,
+}
+
+impl Splice {
+    /// True if the page still fits after inserting `len` bytes.
+    fn fits(&self, len: usize, page_size: usize) -> bool {
+        self.end - self.remove + len <= page_size
+    }
+
+    /// Applies the edit; the new cell is `parts` concatenated. Bytes freed
+    /// at the end are zeroed, so the page stays exactly what
+    /// [`Node::encode`] would write. Callers check [`Splice::fits`].
+    fn apply(self, buf: &mut [u8], parts: &[&[u8]]) {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        let new_end = self.end - self.remove + len;
+        if len != self.remove {
+            buf.copy_within(self.at + self.remove..self.end, self.at + len);
+        }
+        if new_end < self.end {
+            buf[new_end..self.end].fill(0);
+        }
+        let mut at = self.at;
+        for p in parts {
+            buf[at..at + p.len()].copy_from_slice(p);
+            at += p.len();
+        }
+        buf[2..4].copy_from_slice(&(self.count as u16).to_le_bytes());
+    }
 }
 
 impl Node {
     fn encode(&self, page_size: usize) -> Option<Vec<u8>> {
         let mut out = Vec::with_capacity(page_size);
+        let (kind, count, right) = match self {
+            Node::TableLeaf { cells } => (T_TABLE_LEAF, cells.len(), 0),
+            Node::TableInterior { right, cells } => (T_TABLE_INT, cells.len(), *right),
+            Node::IndexLeaf { cells } => (T_INDEX_LEAF, cells.len(), 0),
+            Node::IndexInterior { right, cells } => (T_INDEX_INT, cells.len(), *right),
+        };
+        out.push(kind);
+        out.push(0);
+        out.extend_from_slice(&(count as u16).to_le_bytes());
+        out.extend_from_slice(&right.to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes());
         match self {
             Node::TableLeaf { cells } => {
-                out.push(T_TABLE_LEAF);
-                out.push(0);
-                out.extend_from_slice(&(cells.len() as u16).to_le_bytes());
-                put_u32(&mut out, 0);
-                put_u32(&mut out, 0);
                 for (rowid, p) in cells {
-                    put_u64(&mut out, *rowid as u64);
-                    put_u32(&mut out, p.total_len);
-                    put_u32(&mut out, p.local.len() as u32);
-                    put_u32(&mut out, p.overflow);
+                    out.extend_from_slice(&leaf_head(*rowid, p));
                     out.extend_from_slice(&p.local);
                 }
             }
-            Node::TableInterior { right, cells } => {
-                out.push(T_TABLE_INT);
-                out.push(0);
-                out.extend_from_slice(&(cells.len() as u16).to_le_bytes());
-                put_u32(&mut out, *right);
-                put_u32(&mut out, 0);
+            Node::TableInterior { cells, .. } => {
                 for (child, key) in cells {
-                    put_u32(&mut out, *child);
-                    put_u64(&mut out, *key as u64);
+                    out.extend_from_slice(&child.to_le_bytes());
+                    out.extend_from_slice(&key.to_le_bytes());
                 }
             }
             Node::IndexLeaf { cells } => {
-                out.push(T_INDEX_LEAF);
-                out.push(0);
-                out.extend_from_slice(&(cells.len() as u16).to_le_bytes());
-                put_u32(&mut out, 0);
-                put_u32(&mut out, 0);
                 for key in cells {
-                    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
+                    out.extend_from_slice(&key_len(key));
                     out.extend_from_slice(key);
                 }
             }
-            Node::IndexInterior { right, cells } => {
-                out.push(T_INDEX_INT);
-                out.push(0);
-                out.extend_from_slice(&(cells.len() as u16).to_le_bytes());
-                put_u32(&mut out, *right);
-                put_u32(&mut out, 0);
+            Node::IndexInterior { cells, .. } => {
                 for (child, key) in cells {
-                    put_u32(&mut out, *child);
-                    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
+                    out.extend_from_slice(&child.to_le_bytes());
+                    out.extend_from_slice(&key_len(key));
                     out.extend_from_slice(key);
                 }
             }
@@ -136,76 +392,105 @@ impl Node {
     }
 
     fn decode(buf: &[u8]) -> Result<Node> {
-        let count = rd_u16(buf, 2) as usize;
-        let mut off = HDR;
-        match buf[0] {
-            T_TABLE_LEAF => {
-                let mut cells = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let rowid = rd_u64(buf, off) as i64;
-                    let total_len = rd_u32(buf, off + 8);
-                    let local_len = rd_u32(buf, off + 12) as usize;
-                    let overflow = rd_u32(buf, off + 16);
-                    off += 20;
-                    let local = buf
-                        .get(off..off + local_len)
-                        .ok_or(DbError::Corrupt("leaf cell overruns page"))?
-                        .to_vec();
-                    off += local_len;
-                    cells.push((
-                        rowid,
-                        Payload {
-                            total_len,
-                            local,
-                            overflow,
-                        },
-                    ));
-                }
-                Ok(Node::TableLeaf { cells })
-            }
-            T_TABLE_INT => {
-                let right = rd_u32(buf, 4);
-                let mut cells = Vec::with_capacity(count);
-                for _ in 0..count {
-                    cells.push((rd_u32(buf, off), rd_u64(buf, off + 4) as i64));
-                    off += 12;
-                }
-                Ok(Node::TableInterior { right, cells })
-            }
-            T_INDEX_LEAF => {
-                let mut cells = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let len = rd_u16(buf, off) as usize;
-                    off += 2;
-                    cells.push(
-                        buf.get(off..off + len)
-                            .ok_or(DbError::Corrupt("index cell overruns page"))?
-                            .to_vec(),
-                    );
-                    off += len;
-                }
-                Ok(Node::IndexLeaf { cells })
-            }
-            T_INDEX_INT => {
-                let right = rd_u32(buf, 4);
-                let mut cells = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let child = rd_u32(buf, off);
-                    let len = rd_u16(buf, off + 4) as usize;
-                    off += 6;
-                    cells.push((
-                        child,
-                        buf.get(off..off + len)
-                            .ok_or(DbError::Corrupt("index cell overruns page"))?
-                            .to_vec(),
-                    ));
-                    off += len;
-                }
-                Ok(Node::IndexInterior { right, cells })
-            }
-            _ => Err(DbError::Corrupt("unknown b-tree page type")),
+        let h = header(buf)?;
+        if h.kind == T_TABLE_INT {
+            let cells = int_cells(buf, h)?.iter().map(int_cell).collect();
+            return Ok(Node::TableInterior {
+                right: h.right,
+                cells,
+            });
+        }
+        let cells = Cells::of(buf, h).map(|c| c.map(|(_, c)| c));
+        Ok(match h.kind {
+            T_TABLE_LEAF => Node::TableLeaf {
+                cells: cells
+                    .map(|c| {
+                        c.map(|c| {
+                            let payload = Payload {
+                                total_len: c.total_len,
+                                local: c.bytes.to_vec(),
+                                overflow: c.ptr,
+                            };
+                            (c.rowid, payload)
+                        })
+                    })
+                    .collect::<Result<_>>()?,
+            },
+            T_INDEX_LEAF => Node::IndexLeaf {
+                cells: cells
+                    .map(|c| c.map(|c| c.bytes.to_vec()))
+                    .collect::<Result<_>>()?,
+            },
+            _ => Node::IndexInterior {
+                right: h.right,
+                cells: cells
+                    .map(|c| c.map(|c| (c.ptr, c.bytes.to_vec())))
+                    .collect::<Result<_>>()?,
+            },
+        })
+    }
+
+    /// Applies a delete's fix-up to an interior node (see [`ParentOp`]).
+    fn apply(&mut self, op: ParentOp) -> Result<()> {
+        match self {
+            Node::TableInterior { right, cells } => apply_parent_op(right, cells, op),
+            Node::IndexInterior { right, cells } => apply_parent_op(right, cells, op),
+            _ => Err(DbError::Corrupt("leaf page where an interior page belongs")),
         }
     }
+}
+
+/// A change a delete makes to the parent of the leaf it emptied or
+/// merged, in terms of child positions (the rightmost child is position
+/// `cells.len()`).
+#[derive(Debug, Clone, Copy)]
+enum ParentOp {
+    /// Child `i` was emptied and freed: drop it with its separator.
+    Drop(usize),
+    /// Child `i + 1` was merged into child `i`: drop the separator between
+    /// them and let child `i`'s page cover both ranges.
+    Merge(usize),
+}
+
+impl ParentOp {
+    /// The same change on the parent's child list.
+    fn apply_to(self, kids: &mut Vec<PageNo>) {
+        match self {
+            ParentOp::Drop(i) => kids.remove(i),
+            ParentOp::Merge(i) => kids.remove(i + 1),
+        };
+    }
+}
+
+fn apply_parent_op<K>(
+    right: &mut PageNo,
+    cells: &mut Vec<(PageNo, K)>,
+    op: ParentOp,
+) -> Result<()> {
+    let i = match op {
+        ParentOp::Drop(i) | ParentOp::Merge(i) => i,
+    };
+    if i > cells.len() || cells.is_empty() {
+        return Err(DbError::Corrupt("delete fix-up past the parent's cells"));
+    }
+    match op {
+        ParentOp::Drop(_) if i == cells.len() => {
+            if let Some((child, _)) = cells.pop() {
+                *right = child;
+            }
+        }
+        ParentOp::Drop(_) => {
+            cells.remove(i);
+        }
+        ParentOp::Merge(_) => {
+            let (left, _) = cells.remove(i);
+            match cells.get_mut(i) {
+                Some(cell) => cell.0 = left,
+                None => *right = left,
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Visitor for table scans: receives the pager (for overflow reads by the
@@ -216,6 +501,22 @@ pub type TableVisitor<'a, D> = dyn FnMut(&mut Pager<D>, i64, Vec<u8>) -> Result<
 enum Split<K> {
     None,
     Promoted { sep: K, right: PageNo },
+}
+
+/// What a page visit decided: go down to a child (at parent position
+/// `idx`), or act on the leaf.
+enum Step<T> {
+    Down { idx: usize, child: PageNo },
+    Leaf(T),
+}
+
+/// Runs `f` on page `pgno` where it sits in the pager cache.
+fn visit<D: BlockDevice, R>(
+    pager: &mut Pager<D>,
+    pgno: PageNo,
+    f: impl FnOnce(&[u8]) -> Result<R>,
+) -> Result<R> {
+    pager.with_page(pgno, f)?
 }
 
 /// Creates an empty table B-tree, returning its root page.
@@ -233,14 +534,19 @@ pub fn create_index_tree<D: BlockDevice>(pager: &mut Pager<D>) -> Result<PageNo>
 }
 
 fn read_node<D: BlockDevice>(pager: &mut Pager<D>, pgno: PageNo) -> Result<Node> {
-    let page = pager.page(pgno)?;
-    Node::decode(&page)
+    visit(pager, pgno, Node::decode)
+}
+
+/// Decodes a page the current operation read on its way down, without
+/// counting another access.
+fn reread_node<D: BlockDevice>(pager: &mut Pager<D>, pgno: PageNo) -> Result<Node> {
+    pager.peek(pgno, Node::decode)?
 }
 
 fn write_node<D: BlockDevice>(pager: &mut Pager<D>, pgno: PageNo, node: &Node) -> Result<()> {
-    let Some(page) = node.encode(pager.page_size()) else {
-        unreachable!("caller splits before a node can overflow a page")
-    };
+    let page = node
+        .encode(pager.page_size())
+        .ok_or(DbError::Corrupt("b-tree node overflows its page"))?;
     pager.put(pgno, page)
 }
 
@@ -283,25 +589,40 @@ fn write_overflow<D: BlockDevice>(pager: &mut Pager<D>, rest: &[u8]) -> Result<P
     Ok(next)
 }
 
+/// Next-page pointer of an overflow page.
+fn overflow_next(page: &[u8]) -> Result<PageNo> {
+    le(page, 0)
+        .map(u32::from_le_bytes)
+        .ok_or(DbError::Corrupt("overflow page truncated"))
+}
+
+/// Completes a payload whose local prefix is `value` by appending its
+/// overflow chain from `pgno`, up to the declared `total_len`.
 fn read_overflow<D: BlockDevice>(
     pager: &mut Pager<D>,
     mut pgno: PageNo,
-    out: &mut Vec<u8>,
-) -> Result<()> {
+    total_len: u32,
+    mut value: Vec<u8>,
+) -> Result<Vec<u8>> {
     while pgno != 0 {
-        let page = pager.page(pgno)?;
-        let next = rd_u32(&page, 0);
-        let len = rd_u32(&page, 4) as usize;
-        out.extend_from_slice(&page[8..8 + len]);
-        pgno = next;
+        pgno = visit(pager, pgno, |page| {
+            let chunk = le(page, 4)
+                .map(|n| u32::from_le_bytes(n) as usize)
+                .and_then(|n| page.get(8..8 + n))
+                .ok_or(DbError::Corrupt("overflow page overruns"))?;
+            value.extend_from_slice(chunk);
+            overflow_next(page)
+        })?;
+        if value.len() > total_len as usize {
+            return Err(DbError::Corrupt("overflow chain longer than its payload"));
+        }
     }
-    Ok(())
+    Ok(value)
 }
 
 fn free_overflow<D: BlockDevice>(pager: &mut Pager<D>, mut pgno: PageNo) -> Result<()> {
     while pgno != 0 {
-        let page = pager.page(pgno)?;
-        let next = rd_u32(&page, 0);
+        let next = visit(pager, pgno, overflow_next)?;
         pager.free_page(pgno)?;
         pgno = next;
     }
@@ -326,13 +647,15 @@ fn make_payload<D: BlockDevice>(pager: &mut Pager<D>, value: &[u8]) -> Result<Pa
     }
 }
 
-fn payload_value<D: BlockDevice>(pager: &mut Pager<D>, p: &Payload) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(p.total_len as usize);
-    out.extend_from_slice(&p.local);
-    if p.overflow != 0 {
-        read_overflow(pager, p.overflow, &mut out)?;
-    }
-    Ok(out)
+/// The local part of a table-leaf cell's value, with room for the rest.
+fn local_value(c: &Cell<'_>) -> Vec<u8> {
+    let mut value = Vec::with_capacity(if c.ptr == 0 {
+        c.bytes.len()
+    } else {
+        c.total_len as usize
+    });
+    value.extend_from_slice(c.bytes);
+    value
 }
 
 // --- table tree ------------------------------------------------------------
@@ -344,25 +667,126 @@ pub fn table_insert<D: BlockDevice>(
     rowid: i64,
     value: &[u8],
 ) -> Result<()> {
-    let payload = make_payload(pager, value)?;
-    match table_insert_rec(pager, root, rowid, payload)? {
-        Split::None => Ok(()),
-        Split::Promoted { sep, right } => {
-            // The root keeps its page number: move its (left-half) content
-            // aside and turn the root page into an interior node.
-            let left = pager.alloc_page()?;
-            let old = read_node(pager, root)?;
-            write_node(pager, left, &old)?;
-            write_node(
-                pager,
-                root,
-                &Node::TableInterior {
-                    right,
-                    cells: vec![(left, sep)],
-                },
-            )
+    pager.retaining_evicted(|pager| {
+        let payload = make_payload(pager, value)?;
+        match table_insert_rec(pager, root, rowid, payload)? {
+            Split::None => Ok(()),
+            Split::Promoted { sep, right } => grow_root(pager, root, sep, right),
+        }
+    })
+}
+
+/// A root split: the root keeps its page number, so its (left-half)
+/// content moves to a new page and the root page becomes an interior node
+/// over the two halves.
+fn grow_root<D: BlockDevice, K: Sep>(
+    pager: &mut Pager<D>,
+    root: PageNo,
+    sep: K,
+    right: PageNo,
+) -> Result<()> {
+    let left = pager.alloc_page()?;
+    let old = read_node(pager, root)?;
+    write_node(pager, left, &old)?;
+    write_node(pager, root, &K::interior(right, vec![(left, sep)]))
+}
+
+/// What differs between table and index interior nodes.
+trait Sep: Sized {
+    /// Encoded size of an interior cell holding this separator.
+    fn cell_size(&self) -> usize;
+    /// Where an overflowing interior node splits.
+    fn split_point(cells: &[(PageNo, Self)]) -> usize;
+    fn interior(right: PageNo, cells: Vec<(PageNo, Self)>) -> Node;
+    fn parts(node: Node) -> Option<(PageNo, Vec<(PageNo, Self)>)>;
+}
+
+impl Sep for i64 {
+    fn cell_size(&self) -> usize {
+        INT_CELL
+    }
+
+    fn split_point(cells: &[(PageNo, i64)]) -> usize {
+        cells.len() / 2 // interior cells are fixed-size
+    }
+
+    fn interior(right: PageNo, cells: Vec<(PageNo, i64)>) -> Node {
+        Node::TableInterior { right, cells }
+    }
+
+    fn parts(node: Node) -> Option<(PageNo, Vec<(PageNo, i64)>)> {
+        match node {
+            Node::TableInterior { right, cells } => Some((right, cells)),
+            _ => None,
         }
     }
+}
+
+impl Sep for Vec<u8> {
+    fn cell_size(&self) -> usize {
+        6 + self.len()
+    }
+
+    fn split_point(cells: &[(PageNo, Vec<u8>)]) -> usize {
+        split_point_by_size(cells, |(_, k)| k.cell_size())
+    }
+
+    fn interior(right: PageNo, cells: Vec<(PageNo, Vec<u8>)>) -> Node {
+        Node::IndexInterior { right, cells }
+    }
+
+    fn parts(node: Node) -> Option<(PageNo, Vec<(PageNo, Vec<u8>)>)> {
+        match node {
+            Node::IndexInterior { right, cells } => Some((right, cells)),
+            _ => None,
+        }
+    }
+}
+
+/// Wires a child split into interior page `pgno`, read on the way down:
+/// the child at position `idx` kept its lower half and `new_right` holds
+/// the upper half. Rewrites the parent, splitting it in turn if it
+/// overflows; the middle separator moves up and its child becomes the
+/// left node's rightmost.
+fn promote<D: BlockDevice, K: Sep>(
+    pager: &mut Pager<D>,
+    pgno: PageNo,
+    idx: usize,
+    child: PageNo,
+    sep: K,
+    new_right: PageNo,
+) -> Result<Split<K>> {
+    let (mut right, mut cells) = K::parts(reread_node(pager, pgno)?)
+        .ok_or(DbError::Corrupt("leaf page where an interior page belongs"))?;
+    if idx == cells.len() {
+        cells.push((child, sep));
+        right = new_right;
+    } else {
+        cells.insert(idx, (child, sep));
+        cells[idx + 1].0 = new_right;
+    }
+    if HDR + cells.iter().map(|(_, k)| k.cell_size()).sum::<usize>() <= pager.page_size() {
+        write_node(pager, pgno, &K::interior(right, cells))?;
+        return Ok(Split::None);
+    }
+    let mut upper = cells.split_off(K::split_point(&cells));
+    let (sep_child, sep) = upper.remove(0);
+    let new_right = pager.alloc_page()?;
+    write_node(pager, new_right, &K::interior(right, upper))?;
+    write_node(pager, pgno, &K::interior(sep_child, cells))?;
+    Ok(Split::Promoted {
+        sep,
+        right: new_right,
+    })
+}
+
+/// A table-leaf change decided on the cached page.
+enum LeafPlan {
+    /// The change fits: splice it in place after freeing the replaced
+    /// payload's overflow chain (0 = none).
+    InPlace(Splice, PageNo),
+    /// The leaf must split: its decoded cells.
+    Split(Vec<(i64, Payload)>),
 }
 
 fn table_insert_rec<D: BlockDevice>(
@@ -371,9 +795,48 @@ fn table_insert_rec<D: BlockDevice>(
     rowid: i64,
     payload: Payload,
 ) -> Result<Split<i64>> {
-    let node = read_node(pager, pgno)?;
-    match node {
-        Node::TableLeaf { mut cells } => {
+    let ps = pager.page_size();
+    let step = visit(pager, pgno, |buf| {
+        let h = header(buf)?;
+        match h.kind {
+            T_TABLE_INT => {
+                let (idx, child) = int_child(buf, h, rowid)?;
+                Ok(Step::Down { idx, child })
+            }
+            T_TABLE_LEAF => {
+                let s = seek(buf, h, |c| c.rowid < rowid)?;
+                let old = s.cell.filter(|c| c.rowid == rowid);
+                let edit = Splice {
+                    at: s.at,
+                    remove: old.map_or(0, |c| c.size),
+                    end: s.end,
+                    count: h.count + usize::from(old.is_none()),
+                };
+                if edit.fits(LEAF_HEAD + payload.local.len(), ps) {
+                    return Ok(Step::Leaf(LeafPlan::InPlace(
+                        edit,
+                        old.map_or(0, |c| c.ptr),
+                    )));
+                }
+                match Node::decode(buf)? {
+                    Node::TableLeaf { cells } => Ok(Step::Leaf(LeafPlan::Split(cells))),
+                    _ => Err(DbError::Corrupt("index node in table tree")),
+                }
+            }
+            _ => Err(DbError::Corrupt("index node in table tree")),
+        }
+    })?;
+    match step {
+        Step::Leaf(LeafPlan::InPlace(edit, old_overflow)) => {
+            if old_overflow != 0 {
+                free_overflow(pager, old_overflow)?;
+            }
+            pager.with_page_mut(pgno, |buf| {
+                edit.apply(buf, &[&leaf_head(rowid, &payload), &payload.local]);
+            })?;
+            Ok(Split::None)
+        }
+        Step::Leaf(LeafPlan::Split(mut cells)) => {
             match cells.binary_search_by_key(&rowid, |(r, _)| *r) {
                 Ok(i) => {
                     if cells[i].1.overflow != 0 {
@@ -383,103 +846,43 @@ fn table_insert_rec<D: BlockDevice>(
                 }
                 Err(i) => cells.insert(i, (rowid, payload)),
             }
-            finish_table_leaf(pager, pgno, cells)
+            split_leaf(
+                pager,
+                pgno,
+                cells,
+                |(_, p)| LEAF_HEAD + p.local.len(),
+                |&(rowid, _)| rowid,
+                |cells| Node::TableLeaf { cells },
+            )
         }
-        Node::TableInterior { right, cells } => {
-            let idx = cells.partition_point(|(_, key)| *key < rowid);
-            let child = if idx == cells.len() {
-                right
-            } else {
-                cells[idx].0
-            };
-            match table_insert_rec(pager, child, rowid, payload)? {
-                Split::None => Ok(Split::None),
-                Split::Promoted {
-                    sep,
-                    right: new_right,
-                } => {
-                    let mut cells = cells;
-                    let mut right = right;
-                    // The child kept its lower half; new_right holds the
-                    // upper half. Wire new_right after child.
-                    if idx == cells.len() {
-                        cells.push((child, sep));
-                        right = new_right;
-                    } else {
-                        cells.insert(idx, (child, sep));
-                        cells[idx + 1].0 = new_right;
-                    }
-                    finish_table_interior(pager, pgno, right, cells)
-                }
-            }
-        }
-        _ => Err(DbError::Corrupt("index node in table tree")),
+        Step::Down { idx, child } => match table_insert_rec(pager, child, rowid, payload)? {
+            Split::None => Ok(Split::None),
+            Split::Promoted { sep, right } => promote(pager, pgno, idx, child, sep, right),
+        },
     }
 }
 
-fn finish_table_leaf<D: BlockDevice>(
+/// Splits an overflowing leaf where its encoded size halves: the lower
+/// half stays on `pgno` and promotes its last key, the upper half moves
+/// to a new page.
+fn split_leaf<D: BlockDevice, C, K>(
     pager: &mut Pager<D>,
     pgno: PageNo,
-    cells: Vec<(i64, Payload)>,
-) -> Result<Split<i64>> {
-    let node = Node::TableLeaf { cells };
-    if let Some(page) = node.encode(pager.page_size()) {
-        pager.put(pgno, page)?;
-        return Ok(Split::None);
-    }
-    let Node::TableLeaf { mut cells } = node else {
-        unreachable!()
-    };
-    let mid = split_point_by_size(&cells, |(_, p): &(i64, Payload)| 20 + p.local.len());
+    mut cells: Vec<C>,
+    size: impl Fn(&C) -> usize,
+    key: impl Fn(&C) -> K,
+    leaf: impl Fn(Vec<C>) -> Node,
+) -> Result<Split<K>> {
+    let mid = split_point_by_size(&cells, size);
     let upper = cells.split_off(mid);
-    let Some(&(sep, _)) = cells.last() else {
-        unreachable!("non-empty lower half")
-    };
+    let sep = cells
+        .last()
+        .map(key)
+        .ok_or(DbError::Corrupt("b-tree split of a single cell"))?;
     let right = pager.alloc_page()?;
-    write_node(pager, right, &Node::TableLeaf { cells: upper })?;
-    write_node(pager, pgno, &Node::TableLeaf { cells })?;
+    write_node(pager, right, &leaf(upper))?;
+    write_node(pager, pgno, &leaf(cells))?;
     Ok(Split::Promoted { sep, right })
-}
-
-fn finish_table_interior<D: BlockDevice>(
-    pager: &mut Pager<D>,
-    pgno: PageNo,
-    right: PageNo,
-    cells: Vec<(PageNo, i64)>,
-) -> Result<Split<i64>> {
-    let node = Node::TableInterior { right, cells };
-    if let Some(page) = node.encode(pager.page_size()) {
-        pager.put(pgno, page)?;
-        return Ok(Split::None);
-    }
-    let Node::TableInterior { right, mut cells } = node else {
-        unreachable!()
-    };
-    let mid = cells.len() / 2; // interior cells are fixed-size
-    let mut upper = cells.split_off(mid);
-    // The separator moves up; its child becomes the left node's right.
-    let (sep_child, sep_key) = upper.remove(0);
-    let new_right = pager.alloc_page()?;
-    write_node(
-        pager,
-        new_right,
-        &Node::TableInterior {
-            right,
-            cells: upper,
-        },
-    )?;
-    write_node(
-        pager,
-        pgno,
-        &Node::TableInterior {
-            right: sep_child,
-            cells,
-        },
-    )?;
-    Ok(Split::Promoted {
-        sep: sep_key,
-        right: new_right,
-    })
 }
 
 /// Fetches the value stored under `rowid`.
@@ -490,22 +893,29 @@ pub fn table_get<D: BlockDevice>(
 ) -> Result<Option<Vec<u8>>> {
     let mut pgno = root;
     loop {
-        match read_node(pager, pgno)? {
-            Node::TableLeaf { cells } => {
-                return match cells.binary_search_by_key(&rowid, |(r, _)| *r) {
-                    Ok(i) => Ok(Some(payload_value(pager, &cells[i].1)?)),
-                    Err(_) => Ok(None),
-                };
+        let step = visit(pager, pgno, |buf| {
+            let h = header(buf)?;
+            match h.kind {
+                T_TABLE_INT => {
+                    let (idx, child) = int_child(buf, h, rowid)?;
+                    Ok(Step::Down { idx, child })
+                }
+                T_TABLE_LEAF => {
+                    let s = seek(buf, h, |c| c.rowid < rowid)?;
+                    let hit = s.cell.filter(|c| c.rowid == rowid);
+                    Ok(Step::Leaf(
+                        hit.map(|c| (local_value(&c), c.ptr, c.total_len)),
+                    ))
+                }
+                _ => Err(DbError::Corrupt("index node in table tree")),
             }
-            Node::TableInterior { right, cells } => {
-                let idx = cells.partition_point(|(_, key)| *key < rowid);
-                pgno = if idx == cells.len() {
-                    right
-                } else {
-                    cells[idx].0
-                };
+        })?;
+        match step {
+            Step::Down { child, .. } => pgno = child,
+            Step::Leaf(None) => return Ok(None),
+            Step::Leaf(Some((value, overflow, total_len))) => {
+                return read_overflow(pager, overflow, total_len, value).map(Some);
             }
-            _ => return Err(DbError::Corrupt("index node in table tree")),
         }
     }
 }
@@ -527,38 +937,83 @@ fn scan_table_rec<D: BlockDevice>(
     start: i64,
     f: &mut TableVisitor<'_, D>,
 ) -> Result<bool> {
-    match read_node(pager, pgno)? {
-        Node::TableLeaf { cells } => {
-            let from = cells.partition_point(|(r, _)| *r < start);
-            for (rowid, payload) in &cells[from..] {
-                let value = payload_value(pager, payload)?;
-                if !f(pager, *rowid, value)? {
+    let step = visit(pager, pgno, |buf| {
+        let h = header(buf)?;
+        match h.kind {
+            T_TABLE_INT => {
+                let cells = int_cells(buf, h)?;
+                let from = cells.partition_point(|c| int_cell(c).1 < start);
+                let kids = cells[from..].iter().map(|c| int_cell(c).0);
+                Ok(Scan::Children(kids.chain([h.right]).collect()))
+            }
+            T_TABLE_LEAF => {
+                let s = seek(buf, h, |c| c.rowid < start)?;
+                let run = buf.get(s.at..s.end).unwrap_or_default().to_vec();
+                Ok(Scan::Cells(h.count - s.idx, run))
+            }
+            _ => Err(DbError::Corrupt("index node in table tree")),
+        }
+    })?;
+    match step {
+        Scan::Children(kids) => {
+            for child in kids {
+                if !scan_table_rec(pager, child, start, f)? {
                     return Ok(false);
                 }
             }
-            Ok(true)
         }
-        Node::TableInterior { right, cells } => {
-            let from = cells.partition_point(|(_, key)| *key < start);
-            for (child, _) in &cells[from..] {
-                if !scan_table_rec(pager, *child, start, f)? {
+        Scan::Cells(count, run) => {
+            let cells = Cells {
+                buf: &run,
+                kind: T_TABLE_LEAF,
+                at: 0,
+                left: count,
+            };
+            for c in cells {
+                let (_, c) = c?;
+                let value = read_overflow(pager, c.ptr, c.total_len, local_value(&c))?;
+                if !f(pager, c.rowid, value)? {
                     return Ok(false);
                 }
             }
-            scan_table_rec(pager, right, start, f)
         }
-        _ => Err(DbError::Corrupt("index node in table tree")),
     }
+    Ok(true)
+}
+
+/// What a scan takes from one page: the children to visit, or a leaf's
+/// matching cells (count and bytes) copied out as one run — the table
+/// visitor needs the pager, so the page cannot stay borrowed.
+enum Scan {
+    Children(Vec<PageNo>),
+    Cells(usize, Vec<u8>),
 }
 
 /// Largest rowid in the tree (for rowid assignment).
 pub fn table_last_rowid<D: BlockDevice>(pager: &mut Pager<D>, root: PageNo) -> Result<Option<i64>> {
     let mut pgno = root;
     loop {
-        match read_node(pager, pgno)? {
-            Node::TableLeaf { cells } => return Ok(cells.last().map(|(r, _)| *r)),
-            Node::TableInterior { right, .. } => pgno = right,
-            _ => return Err(DbError::Corrupt("index node in table tree")),
+        let step = visit(pager, pgno, |buf| {
+            let h = header(buf)?;
+            match h.kind {
+                T_TABLE_INT => {
+                    int_cells(buf, h)?;
+                    Ok(Step::Down {
+                        idx: h.count,
+                        child: h.right,
+                    })
+                }
+                T_TABLE_LEAF => {
+                    let last =
+                        Cells::of(buf, h).try_fold(None, |_, c| c.map(|(_, c)| Some(c.rowid)));
+                    Ok(Step::Leaf(last?))
+                }
+                _ => Err(DbError::Corrupt("index node in table tree")),
+            }
+        })?;
+        match step {
+            Step::Down { child, .. } => pgno = child,
+            Step::Leaf(last) => return Ok(last),
         }
     }
 }
@@ -569,9 +1024,11 @@ pub fn table_delete<D: BlockDevice>(
     root: PageNo,
     rowid: i64,
 ) -> Result<bool> {
-    let removed = table_delete_rec(pager, root, rowid)?;
-    collapse_root(pager, root)?;
-    Ok(removed)
+    pager.retaining_evicted(|pager| {
+        let removed = table_delete_rec(pager, root, rowid)?;
+        collapse_root(pager, root)?;
+        Ok(removed)
+    })
 }
 
 fn table_delete_rec<D: BlockDevice>(
@@ -579,199 +1036,136 @@ fn table_delete_rec<D: BlockDevice>(
     pgno: PageNo,
     rowid: i64,
 ) -> Result<bool> {
-    match read_node(pager, pgno)? {
-        Node::TableLeaf { mut cells } => match cells.binary_search_by_key(&rowid, |(r, _)| *r) {
-            Ok(i) => {
-                let (_, payload) = cells.remove(i);
-                if payload.overflow != 0 {
-                    free_overflow(pager, payload.overflow)?;
-                }
-                write_node(pager, pgno, &Node::TableLeaf { cells })?;
-                Ok(true)
+    let step = visit(pager, pgno, |buf| {
+        let h = header(buf)?;
+        match h.kind {
+            T_TABLE_INT => {
+                let (idx, child) = int_child(buf, h, rowid)?;
+                Ok(Step::Down { idx, child })
             }
-            Err(_) => Ok(false),
-        },
-        Node::TableInterior {
-            mut right,
-            mut cells,
-        } => {
-            let idx = cells.partition_point(|(_, key)| *key < rowid);
-            let child = if idx == cells.len() {
-                right
-            } else {
-                cells[idx].0
-            };
+            T_TABLE_LEAF => {
+                let s = seek(buf, h, |c| c.rowid < rowid)?;
+                Ok(Step::Leaf(s.cell.filter(|c| c.rowid == rowid).map(|c| {
+                    let edit = Splice {
+                        at: s.at,
+                        remove: c.size,
+                        end: s.end,
+                        count: h.count - 1,
+                    };
+                    (edit, c.ptr)
+                })))
+            }
+            _ => Err(DbError::Corrupt("index node in table tree")),
+        }
+    })?;
+    match step {
+        Step::Leaf(None) => Ok(false),
+        Step::Leaf(Some((edit, overflow))) => {
+            if overflow != 0 {
+                free_overflow(pager, overflow)?;
+            }
+            pager.with_page_mut(pgno, |buf| edit.apply(buf, &[]))?;
+            Ok(true)
+        }
+        Step::Down { idx, child } => {
             let removed = table_delete_rec(pager, child, rowid)?;
             if removed {
-                let mut changed = false;
-                if node_is_empty_leafless(pager, child)? && !cells.is_empty() {
-                    if idx == cells.len() {
-                        let Some((new_right, _)) = cells.pop() else {
-                            unreachable!("non-empty")
-                        };
-                        right = new_right;
-                    } else {
-                        cells.remove(idx);
-                    }
-                    pager.free_page(child)?;
-                    changed = true;
-                }
-                // Merge an underfull leaf with a neighbour: at its own
-                // position, or as the right neighbour of the previous one.
-                if !cells.is_empty() {
-                    let anchor = idx.min(cells.len() - 1);
-                    if merge_table_leaves(pager, &mut right, &mut cells, anchor)?
-                        || (anchor > 0
-                            && merge_table_leaves(pager, &mut right, &mut cells, anchor - 1)?)
-                    {
-                        changed = true;
-                    }
-                }
-                if changed {
-                    write_node(pager, pgno, &Node::TableInterior { right, cells })?;
-                }
+                rebalance(pager, pgno, idx, child, T_TABLE_LEAF)?;
             }
             Ok(removed)
         }
-        _ => Err(DbError::Corrupt("index node in table tree")),
     }
 }
 
-/// Serialized size of a node (for underflow detection).
-fn node_size(node: &Node) -> usize {
-    HDR + match node {
-        Node::TableLeaf { cells } => cells.iter().map(|(_, p)| 20 + p.local.len()).sum::<usize>(),
-        Node::TableInterior { cells, .. } => cells.len() * 12,
-        Node::IndexLeaf { cells } => cells.iter().map(|k| 2 + k.len()).sum::<usize>(),
-        Node::IndexInterior { cells, .. } => cells.iter().map(|(_, k)| 6 + k.len()).sum::<usize>(),
-    }
-}
-
-/// A node smaller than this fraction of a page is "underfull": deletes
-/// try to merge it with a leaf neighbour.
-fn is_underfull(node: &Node, page_size: usize) -> bool {
-    node_size(node) < page_size / 4
-}
-
-/// Tries to merge the leaf child at parent position `idx` with its right
-/// neighbour (position `idx + 1`, or the rightmost child). Fires only
-/// when one of the two is underfull and the combined cells fit in 90 % of
-/// a page. On success the left page absorbs the neighbour, the
-/// neighbour's page is freed, and the parent's arrays are fixed up;
-/// returns whether the parent changed.
-fn merge_table_leaves<D: BlockDevice>(
+/// After a delete below interior page `pgno` through its child at
+/// position `idx`: frees the child if it is now an empty leaf, then tries
+/// to merge an underfull leaf with a neighbour — at its own position, or
+/// as the right neighbour of the previous one. The parent is read in
+/// place and decoded only if one of these changes it.
+fn rebalance<D: BlockDevice>(
     pager: &mut Pager<D>,
-    right: &mut PageNo,
-    cells: &mut Vec<(PageNo, i64)>,
+    pgno: PageNo,
     idx: usize,
-) -> Result<bool> {
-    if idx >= cells.len() {
-        return Ok(false); // the rightmost child has no right neighbour
+    child: PageNo,
+    leaf_kind: u8,
+) -> Result<()> {
+    let emptied = visit(pager, child, |buf| {
+        let (h, _) = used(buf)?;
+        Ok(is_leaf(h.kind) && h.count == 0)
+    })?;
+    let mut kids = pager.peek(pgno, children)??;
+    let mut ops = Vec::new();
+    if emptied && kids.len() > 1 {
+        ops.push(ParentOp::Drop(idx));
+        ParentOp::Drop(idx).apply_to(&mut kids);
+        pager.free_page(child)?;
     }
-    let left_pg = cells[idx].0;
-    let neighbour_pg = if idx + 1 < cells.len() {
-        cells[idx + 1].0
-    } else {
-        *right
-    };
-    let (Node::TableLeaf { cells: lc }, Node::TableLeaf { cells: rc }) =
-        (read_node(pager, left_pg)?, read_node(pager, neighbour_pg)?)
-    else {
+    if kids.len() > 1 {
+        let anchor = idx.min(kids.len() - 2);
+        for at in [Some(anchor), anchor.checked_sub(1)].into_iter().flatten() {
+            if merge_leaves(pager, &kids, at, leaf_kind)? {
+                ops.push(ParentOp::Merge(at));
+                ParentOp::Merge(at).apply_to(&mut kids);
+                break;
+            }
+        }
+    }
+    if ops.is_empty() {
+        return Ok(());
+    }
+    let mut node = reread_node(pager, pgno)?;
+    for op in ops {
+        node.apply(op)?;
+    }
+    write_node(pager, pgno, &node)
+}
+
+/// Tries to merge the leaf child at parent position `at` with its right
+/// neighbour. Fires only when both are `leaf_kind` leaves, one of them is
+/// underfull (under a quarter page) and together they fit in 90 % of a
+/// page. On success the neighbour's cells are appended in place to the
+/// left page and the neighbour's page is freed.
+fn merge_leaves<D: BlockDevice>(
+    pager: &mut Pager<D>,
+    kids: &[PageNo],
+    at: usize,
+    leaf_kind: u8,
+) -> Result<bool> {
+    let (Some(&left_pg), Some(&neighbour_pg)) = (kids.get(at), kids.get(at + 1)) else {
         return Ok(false);
     };
     let ps = pager.page_size();
-    let l = Node::TableLeaf { cells: lc };
-    let r = Node::TableLeaf { cells: rc };
-    if !is_underfull(&l, ps) && !is_underfull(&r, ps) {
+    let (lh, l_end) = visit(pager, left_pg, used)?;
+    let moved = visit(pager, neighbour_pg, |buf| {
+        let (rh, r_end) = used(buf)?;
+        let merge = lh.kind == leaf_kind
+            && rh.kind == leaf_kind
+            && (l_end < ps / 4 || r_end < ps / 4)
+            && l_end + r_end - HDR <= ps * 9 / 10;
+        Ok(merge.then(|| (rh.count, buf[HDR..r_end].to_vec())))
+    })?;
+    let Some((r_count, cells)) = moved else {
         return Ok(false);
-    }
-    let (Node::TableLeaf { cells: mut cells_l }, Node::TableLeaf { cells: cells_r }) = (l, r)
-    else {
-        unreachable!()
     };
-    cells_l.extend(cells_r);
-    let merged = Node::TableLeaf { cells: cells_l };
-    if node_size(&merged) > ps * 9 / 10 {
-        return Ok(false);
-    }
-    write_node(pager, left_pg, &merged)?;
-    // The merged node takes over the neighbour's key range: drop this
-    // entry's separator and point the neighbour's slot at the left page.
-    cells.remove(idx);
-    if idx < cells.len() {
-        cells[idx].0 = left_pg;
-    } else {
-        *right = left_pg;
-    }
+    let edit = Splice {
+        at: l_end,
+        remove: 0,
+        end: l_end,
+        count: lh.count + r_count,
+    };
+    pager.with_page_mut(left_pg, |buf| edit.apply(buf, &[&cells]))?;
     pager.free_page(neighbour_pg)?;
     Ok(true)
-}
-
-/// Index-tree sibling merge (same shape as [`merge_table_leaves`]).
-fn merge_index_leaves<D: BlockDevice>(
-    pager: &mut Pager<D>,
-    right: &mut PageNo,
-    cells: &mut Vec<(PageNo, Vec<u8>)>,
-    idx: usize,
-) -> Result<bool> {
-    if idx >= cells.len() {
-        return Ok(false);
-    }
-    let left_pg = cells[idx].0;
-    let neighbour_pg = if idx + 1 < cells.len() {
-        cells[idx + 1].0
-    } else {
-        *right
-    };
-    let (Node::IndexLeaf { cells: lc }, Node::IndexLeaf { cells: rc }) =
-        (read_node(pager, left_pg)?, read_node(pager, neighbour_pg)?)
-    else {
-        return Ok(false);
-    };
-    let ps = pager.page_size();
-    let l = Node::IndexLeaf { cells: lc };
-    let r = Node::IndexLeaf { cells: rc };
-    if !is_underfull(&l, ps) && !is_underfull(&r, ps) {
-        return Ok(false);
-    }
-    let (Node::IndexLeaf { cells: mut cells_l }, Node::IndexLeaf { cells: cells_r }) = (l, r)
-    else {
-        unreachable!()
-    };
-    cells_l.extend(cells_r);
-    let merged = Node::IndexLeaf { cells: cells_l };
-    if node_size(&merged) > ps * 9 / 10 {
-        return Ok(false);
-    }
-    write_node(pager, left_pg, &merged)?;
-    cells.remove(idx);
-    if idx < cells.len() {
-        cells[idx].0 = left_pg;
-    } else {
-        *right = left_pg;
-    }
-    pager.free_page(neighbour_pg)?;
-    Ok(true)
-}
-
-/// True if the page is a leaf with no cells.
-fn node_is_empty_leafless<D: BlockDevice>(pager: &mut Pager<D>, pgno: PageNo) -> Result<bool> {
-    Ok(match read_node(pager, pgno)? {
-        Node::TableLeaf { cells } => cells.is_empty(),
-        Node::IndexLeaf { cells } => cells.is_empty(),
-        _ => false,
-    })
 }
 
 /// If the root is an interior node with no separators, absorb its only
 /// child so the tree shrinks (keeping the root page number stable).
 fn collapse_root<D: BlockDevice>(pager: &mut Pager<D>, root: PageNo) -> Result<()> {
     loop {
-        let only_child = match read_node(pager, root)? {
-            Node::TableInterior { right, cells } if cells.is_empty() => Some(right),
-            Node::IndexInterior { right, cells } if cells.is_empty() => Some(right),
-            _ => None,
-        };
+        let only_child = visit(pager, root, |buf| {
+            let (h, _) = used(buf)?;
+            Ok((!is_leaf(h.kind) && h.count == 0).then_some(h.right))
+        })?;
         let Some(child) = only_child else {
             return Ok(());
         };
@@ -786,22 +1180,27 @@ fn collapse_root<D: BlockDevice>(pager: &mut Pager<D>, root: PageNo) -> Result<(
 /// Inserts an encoded key (keys are unique: they embed the rowid).
 pub fn index_insert<D: BlockDevice>(pager: &mut Pager<D>, root: PageNo, key: &[u8]) -> Result<()> {
     assert!(key.len() < pager.page_size() / 4, "index key too large");
-    match index_insert_rec(pager, root, key)? {
+    pager.retaining_evicted(|pager| match index_insert_rec(pager, root, key)? {
         Split::None => Ok(()),
-        Split::Promoted { sep, right } => {
-            let left = pager.alloc_page()?;
-            let old = read_node(pager, root)?;
-            write_node(pager, left, &old)?;
-            write_node(
-                pager,
-                root,
-                &Node::IndexInterior {
-                    right,
-                    cells: vec![(left, sep)],
-                },
-            )
-        }
-    }
+        Split::Promoted { sep, right } => grow_root(pager, root, sep, right),
+    })
+}
+
+/// An index-leaf insert decided on the cached page.
+enum KeyPlan {
+    /// The key is already there: the page is rewritten unchanged.
+    Present,
+    /// The key fits: splice it in place.
+    InPlace(Splice),
+    /// The leaf must split: its decoded keys.
+    Split(Vec<Vec<u8>>),
+}
+
+/// Position and page of the child of an index-interior page covering
+/// `key`: the first separator `>= key`, else the rightmost child.
+fn index_child(buf: &[u8], h: Header, key: &[u8]) -> Result<(usize, PageNo)> {
+    let s = seek(buf, h, |c| c.bytes < key)?;
+    Ok((s.idx, s.cell.map_or(h.right, |c| c.ptr)))
 }
 
 fn index_insert_rec<D: BlockDevice>(
@@ -809,88 +1208,61 @@ fn index_insert_rec<D: BlockDevice>(
     pgno: PageNo,
     key: &[u8],
 ) -> Result<Split<Vec<u8>>> {
-    match read_node(pager, pgno)? {
-        Node::IndexLeaf { mut cells } => {
-            match cells.binary_search_by(|c| c.as_slice().cmp(key)) {
-                Ok(_) => {} // duplicate exact key: nothing to do
-                Err(i) => cells.insert(i, key.to_vec()),
+    let ps = pager.page_size();
+    let step = visit(pager, pgno, |buf| {
+        let h = header(buf)?;
+        match h.kind {
+            T_INDEX_INT => {
+                let (idx, child) = index_child(buf, h, key)?;
+                Ok(Step::Down { idx, child })
             }
-            let node = Node::IndexLeaf { cells };
-            if let Some(page) = node.encode(pager.page_size()) {
-                pager.put(pgno, page)?;
-                return Ok(Split::None);
-            }
-            let Node::IndexLeaf { mut cells } = node else {
-                unreachable!()
-            };
-            let mid = split_point_by_size(&cells, |k: &Vec<u8>| 2 + k.len());
-            let upper = cells.split_off(mid);
-            let Some(sep) = cells.last().cloned() else {
-                unreachable!("non-empty")
-            };
-            let right = pager.alloc_page()?;
-            write_node(pager, right, &Node::IndexLeaf { cells: upper })?;
-            write_node(pager, pgno, &Node::IndexLeaf { cells })?;
-            Ok(Split::Promoted { sep, right })
-        }
-        Node::IndexInterior { right, cells } => {
-            let idx = cells.partition_point(|(_, k)| k.as_slice() < key);
-            let child = if idx == cells.len() {
-                right
-            } else {
-                cells[idx].0
-            };
-            match index_insert_rec(pager, child, key)? {
-                Split::None => Ok(Split::None),
-                Split::Promoted {
-                    sep,
-                    right: new_right,
-                } => {
-                    let mut cells = cells;
-                    let mut right = right;
-                    if idx == cells.len() {
-                        cells.push((child, sep));
-                        right = new_right;
-                    } else {
-                        cells.insert(idx, (child, sep));
-                        cells[idx + 1].0 = new_right;
-                    }
-                    let node = Node::IndexInterior { right, cells };
-                    if let Some(page) = node.encode(pager.page_size()) {
-                        pager.put(pgno, page)?;
-                        return Ok(Split::None);
-                    }
-                    let Node::IndexInterior { right, mut cells } = node else {
-                        unreachable!()
-                    };
-                    let mid = split_point_by_size(&cells, |(_, k): &(u32, Vec<u8>)| 6 + k.len());
-                    let mut upper = cells.split_off(mid);
-                    let (sep_child, sep_key) = upper.remove(0);
-                    let new_right2 = pager.alloc_page()?;
-                    write_node(
-                        pager,
-                        new_right2,
-                        &Node::IndexInterior {
-                            right,
-                            cells: upper,
-                        },
-                    )?;
-                    write_node(
-                        pager,
-                        pgno,
-                        &Node::IndexInterior {
-                            right: sep_child,
-                            cells,
-                        },
-                    )?;
-                    Ok(Split::Promoted {
-                        sep: sep_key,
-                        right: new_right2,
-                    })
+            T_INDEX_LEAF => {
+                let s = seek(buf, h, |c| c.bytes < key)?;
+                if s.cell.is_some_and(|c| c.bytes == key) {
+                    return Ok(Step::Leaf(KeyPlan::Present));
+                }
+                let edit = Splice {
+                    at: s.at,
+                    remove: 0,
+                    end: s.end,
+                    count: h.count + 1,
+                };
+                if edit.fits(2 + key.len(), ps) {
+                    return Ok(Step::Leaf(KeyPlan::InPlace(edit)));
+                }
+                match Node::decode(buf)? {
+                    Node::IndexLeaf { cells } => Ok(Step::Leaf(KeyPlan::Split(cells))),
+                    _ => Err(DbError::Corrupt("table node in index tree")),
                 }
             }
+            _ => Err(DbError::Corrupt("table node in index tree")),
         }
-        _ => Err(DbError::Corrupt("table node in index tree")),
+    })?;
+    match step {
+        Step::Leaf(KeyPlan::Present) => {
+            pager.with_page_mut(pgno, |_| ())?;
+            Ok(Split::None)
+        }
+        Step::Leaf(KeyPlan::InPlace(edit)) => {
+            pager.with_page_mut(pgno, |buf| edit.apply(buf, &[&key_len(key), key]))?;
+            Ok(Split::None)
+        }
+        Step::Leaf(KeyPlan::Split(mut cells)) => {
+            let i = cells.partition_point(|c| c.as_slice() < key);
+            cells.insert(i, key.to_vec());
+            split_leaf(
+                pager,
+                pgno,
+                cells,
+                |k| 2 + k.len(),
+                Clone::clone,
+                |cells| Node::IndexLeaf { cells },
+            )
+        }
+        Step::Down { idx, child } => match index_insert_rec(pager, child, key)? {
+            Split::None => Ok(Split::None),
+            Split::Promoted { sep, right } => promote(pager, pgno, idx, child, sep, right),
+        },
     }
 }
 
@@ -900,9 +1272,11 @@ pub fn index_delete<D: BlockDevice>(
     root: PageNo,
     key: &[u8],
 ) -> Result<bool> {
-    let removed = index_delete_rec(pager, root, key)?;
-    collapse_root(pager, root)?;
-    Ok(removed)
+    pager.retaining_evicted(|pager| {
+        let removed = index_delete_rec(pager, root, key)?;
+        collapse_root(pager, root)?;
+        Ok(removed)
+    })
 }
 
 fn index_delete_rec<D: BlockDevice>(
@@ -910,56 +1284,40 @@ fn index_delete_rec<D: BlockDevice>(
     pgno: PageNo,
     key: &[u8],
 ) -> Result<bool> {
-    match read_node(pager, pgno)? {
-        Node::IndexLeaf { mut cells } => match cells.binary_search_by(|c| c.as_slice().cmp(key)) {
-            Ok(i) => {
-                cells.remove(i);
-                write_node(pager, pgno, &Node::IndexLeaf { cells })?;
-                Ok(true)
+    let step = visit(pager, pgno, |buf| {
+        let h = header(buf)?;
+        match h.kind {
+            T_INDEX_INT => {
+                let (idx, child) = index_child(buf, h, key)?;
+                Ok(Step::Down { idx, child })
             }
-            Err(_) => Ok(false),
-        },
-        Node::IndexInterior {
-            mut right,
-            mut cells,
-        } => {
-            let idx = cells.partition_point(|(_, k)| k.as_slice() < key);
-            let child = if idx == cells.len() {
-                right
-            } else {
-                cells[idx].0
-            };
+            T_INDEX_LEAF => {
+                let s = seek(buf, h, |c| c.bytes < key)?;
+                Ok(Step::Leaf(s.cell.filter(|c| c.bytes == key).map(|c| {
+                    Splice {
+                        at: s.at,
+                        remove: c.size,
+                        end: s.end,
+                        count: h.count - 1,
+                    }
+                })))
+            }
+            _ => Err(DbError::Corrupt("table node in index tree")),
+        }
+    })?;
+    match step {
+        Step::Leaf(None) => Ok(false),
+        Step::Leaf(Some(edit)) => {
+            pager.with_page_mut(pgno, |buf| edit.apply(buf, &[]))?;
+            Ok(true)
+        }
+        Step::Down { idx, child } => {
             let removed = index_delete_rec(pager, child, key)?;
             if removed {
-                let mut changed = false;
-                if node_is_empty_leafless(pager, child)? && !cells.is_empty() {
-                    if idx == cells.len() {
-                        let Some((new_right, _)) = cells.pop() else {
-                            unreachable!("non-empty")
-                        };
-                        right = new_right;
-                    } else {
-                        cells.remove(idx);
-                    }
-                    pager.free_page(child)?;
-                    changed = true;
-                }
-                if !cells.is_empty() {
-                    let anchor = idx.min(cells.len() - 1);
-                    if merge_index_leaves(pager, &mut right, &mut cells, anchor)?
-                        || (anchor > 0
-                            && merge_index_leaves(pager, &mut right, &mut cells, anchor - 1)?)
-                    {
-                        changed = true;
-                    }
-                }
-                if changed {
-                    write_node(pager, pgno, &Node::IndexInterior { right, cells })?;
-                }
+                rebalance(pager, pgno, idx, child, T_INDEX_LEAF)?;
             }
             Ok(removed)
         }
-        _ => Err(DbError::Corrupt("table node in index tree")),
     }
 }
 
@@ -979,26 +1337,41 @@ fn scan_index_rec<D: BlockDevice>(
     start: &[u8],
     f: &mut dyn FnMut(&[u8]) -> Result<bool>,
 ) -> Result<bool> {
-    match read_node(pager, pgno)? {
-        Node::IndexLeaf { cells } => {
-            let from = cells.partition_point(|c| c.as_slice() < start);
-            for key in &cells[from..] {
-                if !f(key)? {
+    // The key visitor needs no pager, so a leaf is visited in place; an
+    // interior page hands back the children to visit.
+    let step = visit(pager, pgno, |buf| {
+        let h = header(buf)?;
+        if h.kind != T_INDEX_LEAF && h.kind != T_INDEX_INT {
+            return Err(DbError::Corrupt("table node in index tree"));
+        }
+        let s = seek(buf, h, |c| c.bytes < start)?;
+        let from = Cells {
+            buf,
+            kind: h.kind,
+            at: s.at,
+            left: h.count - s.idx,
+        };
+        if h.kind == T_INDEX_INT {
+            let kids = from.map(|c| c.map(|(_, c)| c.ptr)).chain([Ok(h.right)]);
+            return Ok(Err(kids.collect::<Result<Vec<PageNo>>>()?));
+        }
+        for c in from {
+            if !f(c?.1.bytes)? {
+                return Ok(Ok(false));
+            }
+        }
+        Ok(Ok(true))
+    })?;
+    match step {
+        Ok(more) => Ok(more),
+        Err(kids) => {
+            for child in kids {
+                if !scan_index_rec(pager, child, start, f)? {
                     return Ok(false);
                 }
             }
             Ok(true)
         }
-        Node::IndexInterior { right, cells } => {
-            let from = cells.partition_point(|(_, k)| k.as_slice() < start);
-            for (child, _) in &cells[from..] {
-                if !scan_index_rec(pager, *child, start, f)? {
-                    return Ok(false);
-                }
-            }
-            scan_index_rec(pager, right, start, f)
-        }
-        _ => Err(DbError::Corrupt("table node in index tree")),
     }
 }
 
@@ -1019,34 +1392,29 @@ pub fn clear_tree<D: BlockDevice>(
 }
 
 fn clear_rec<D: BlockDevice>(pager: &mut Pager<D>, pgno: PageNo, is_root: bool) -> Result<()> {
-    match read_node(pager, pgno)? {
-        Node::TableLeaf { cells } => {
-            for (_, p) in &cells {
-                if p.overflow != 0 {
-                    free_overflow(pager, p.overflow)?;
-                }
+    let (kids, overflows) = visit(pager, pgno, |buf| {
+        let h = header(buf)?;
+        match h.kind {
+            T_TABLE_LEAF => {
+                let heads = Cells::of(buf, h).map(|c| c.map(|(_, c)| c.ptr));
+                let heads = heads.collect::<Result<Vec<_>>>()?;
+                Ok((Vec::new(), heads))
             }
+            T_INDEX_LEAF => used(buf).map(|_| (Vec::new(), Vec::new())),
+            _ => Ok((children(buf)?, Vec::new())),
         }
-        Node::TableInterior { right, cells } => {
-            for (child, _) in &cells {
-                clear_rec(pager, *child, false)?;
-            }
-            clear_rec(pager, right, false)?;
-        }
-        Node::IndexLeaf { .. } => {}
-        Node::IndexInterior { right, cells } => {
-            for (child, _) in &cells {
-                clear_rec(pager, *child, false)?;
-            }
-            clear_rec(pager, right, false)?;
-        }
+    })?;
+    for head in overflows.into_iter().filter(|&p| p != 0) {
+        free_overflow(pager, head)?;
+    }
+    for child in kids {
+        clear_rec(pager, child, false)?;
     }
     if !is_root {
         pager.free_page(pgno)?;
     }
     Ok(())
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1309,6 +1677,177 @@ mod tests {
         }
         p.commit().unwrap();
         assert!(p.page_count() <= before + 2);
+    }
+}
+
+#[cfg(test)]
+mod canonical_tests {
+    use super::*;
+    use crate::pager::{DbJournalMode, SharedFs};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cell::RefCell;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::rc::Rc;
+    use xftl_flash::{FlashChip, FlashConfig, SimClock};
+    use xftl_fs::{FileSystem, FsConfig, JournalMode};
+    use xftl_ftl::PageMappedFtl;
+
+    fn pager() -> Pager<PageMappedFtl> {
+        let chip = FlashChip::new(FlashConfig::tiny(400), SimClock::new());
+        let dev = PageMappedFtl::format(chip, 3_000).unwrap();
+        let fs = FileSystem::mkfs(
+            dev,
+            JournalMode::Ordered,
+            FsConfig {
+                inode_count: 16,
+                journal_pages: 32,
+                cache_pages: 256,
+            },
+        )
+        .unwrap();
+        let fs: SharedFs<PageMappedFtl> = Rc::new(RefCell::new(fs));
+        Pager::open(fs, "canon.db", DbJournalMode::Rollback).unwrap()
+    }
+
+    /// Asserts that every page of the tree under `root` is in canonical
+    /// form, `encode(decode(p)) == p`, and returns how many it has.
+    fn assert_canonical(p: &mut Pager<PageMappedFtl>, root: PageNo) -> usize {
+        let ps = p.page_size();
+        let mut todo = vec![root];
+        let mut pages = 0;
+        while let Some(pgno) = todo.pop() {
+            let kids = p
+                .with_page(pgno, |buf| {
+                    let node = Node::decode(buf).unwrap();
+                    assert_eq!(node.encode(ps).unwrap(), buf, "page {pgno} not canonical");
+                    match node {
+                        Node::TableInterior { .. } | Node::IndexInterior { .. } => {
+                            children(buf).unwrap()
+                        }
+                        _ => Vec::new(),
+                    }
+                })
+                .unwrap();
+            todo.extend(kids);
+            pages += 1;
+        }
+        pages
+    }
+
+    fn rows(p: &mut Pager<PageMappedFtl>, root: PageNo) -> BTreeMap<i64, Vec<u8>> {
+        let mut out = BTreeMap::new();
+        table_scan_from(p, root, i64::MIN, &mut |_, rowid, v| {
+            assert!(out.insert(rowid, v).is_none(), "rowid {rowid} twice");
+            Ok(true)
+        })
+        .unwrap();
+        out
+    }
+
+    fn keys(p: &mut Pager<PageMappedFtl>, root: PageNo) -> BTreeSet<Vec<u8>> {
+        let mut out = BTreeSet::new();
+        index_scan_from(p, root, &[], &mut |k| {
+            out.insert(k.to_vec());
+            Ok(true)
+        })
+        .unwrap();
+        out
+    }
+
+    /// Random inserts, same-size updates, grow/shrink updates and deletes
+    /// on 512-byte pages, with payloads both below and above the overflow
+    /// threshold, so splits, merges and root collapses all fire. After
+    /// every operation each page is canonical — in-place edits wrote what
+    /// `encode` would — and table and index match a `BTreeMap` model.
+    fn random_edits(seed: u64, cache_pages: usize) {
+        let mut p = pager();
+        p.set_cache_capacity(cache_pages);
+        p.begin().unwrap();
+        let table = create_table_tree(&mut p).unwrap();
+        let index = create_index_tree(&mut p).unwrap();
+        let mut model: BTreeMap<i64, Vec<u8>> = BTreeMap::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let big = max_local(p.page_size()) * 3;
+        let key = |r: i64| crate::record::encode_index_key(&[crate::value::Value::Int(r % 7)], r);
+        let (mut prev_pages, mut max_pages, mut shrank) = (0, 0, false);
+        for step in 0..1_500 {
+            let rowid = rng.gen_range(0..250i64);
+            let fill = (step % 251) as u8;
+            let len = match rng.gen_range(0..10u32) {
+                0 => rng.gen_range(0..=big),
+                _ => rng.gen_range(0..60usize),
+            };
+            match (rng.gen_range(0..4u32), model.get(&rowid).map(Vec::len)) {
+                // Same-size update of an existing row.
+                (0, Some(old)) => {
+                    let v = vec![fill; old];
+                    table_insert(&mut p, table, rowid, &v).unwrap();
+                    model.insert(rowid, v);
+                }
+                (1, Some(_)) => {
+                    assert!(table_delete(&mut p, table, rowid).unwrap());
+                    assert!(index_delete(&mut p, index, &key(rowid)).unwrap());
+                    model.remove(&rowid);
+                }
+                // Insert, or a grow/shrink update.
+                _ => {
+                    let v = vec![fill; len];
+                    table_insert(&mut p, table, rowid, &v).unwrap();
+                    index_insert(&mut p, index, &key(rowid)).unwrap();
+                    model.insert(rowid, v);
+                }
+            }
+            let pages = assert_canonical(&mut p, table) + assert_canonical(&mut p, index);
+            shrank |= pages < prev_pages;
+            (prev_pages, max_pages) = (pages, max_pages.max(pages));
+            assert_eq!(rows(&mut p, table), model, "step {step}");
+            let want: BTreeSet<Vec<u8>> = model.keys().map(|&r| key(r)).collect();
+            assert_eq!(keys(&mut p, index), want, "step {step}");
+        }
+        p.commit().unwrap();
+        assert!(max_pages > 10, "trees never split: {max_pages} pages");
+        assert!(shrank, "no merge or collapse ever freed a page");
+        assert_eq!(rows(&mut p, table), model);
+    }
+
+    #[test]
+    fn random_edits_stay_canonical_and_match_model() {
+        random_edits(0xC0FF_EE01, 256);
+    }
+
+    /// A B-tree write that comes back to a page evicted since it read it
+    /// gets the image from the pager's eviction stash: no device read that
+    /// holding an in-memory copy would not have needed.
+    #[test]
+    fn returning_to_an_evicted_page_reads_nothing() {
+        let mut p = pager();
+        p.set_cache_capacity(4);
+        p.begin().unwrap();
+        let (first, reads) = p
+            .retaining_evicted(|p| {
+                let first = p.alloc_page()?;
+                // Each allocation also rewrites the header page, so with
+                // four frames the oldest dirty frame, `first`, is spilled.
+                for _ in 0..5 {
+                    p.alloc_page()?;
+                }
+                let before = p.stats().reads;
+                assert_eq!(p.peek(first, |b| b[0])?, 0);
+                p.with_page_mut(first, |b| b[0] = 7)?;
+                Ok((first, p.stats().reads - before))
+            })
+            .unwrap();
+        assert_eq!(reads, 0);
+        assert_eq!(p.with_page(first, |b| b[0]).unwrap(), 7);
+        p.commit().unwrap();
+    }
+
+    /// The same with a four-frame cache: pages a B-tree operation read
+    /// are evicted before it writes them back.
+    #[test]
+    fn random_edits_stay_canonical_under_cache_pressure() {
+        random_edits(0xC0FF_EE02, 4);
     }
 }
 

@@ -1033,3 +1033,69 @@ fn in_list_having_offset_end_to_end() {
         .unwrap();
     assert_eq!(rows, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
 }
+
+/// A cached B-tree page whose cell count reads 0xFFFF claims cells far
+/// past its end. Point reads, range scans and updates through it must
+/// surface `DbError::Corrupt`, never an out-of-bounds panic.
+#[test]
+fn corrupt_cell_count_is_an_error_not_a_panic() {
+    // Page kinds from the B-tree format: table leaf, table interior.
+    for kind in [1u8, 2] {
+        let mut db = conn(DbJournalMode::Rollback);
+        db.execute(
+            "CREATE TABLE partsupp (ps_id INTEGER PRIMARY KEY, ps_supplycost REAL, ps_comment TEXT)",
+        )
+        .unwrap();
+        db.execute("BEGIN").unwrap();
+        for i in 1..=200 {
+            db.execute_with(
+                "INSERT INTO partsupp VALUES (?, ?, ?)",
+                &[
+                    Value::Int(i),
+                    Value::Real(1.5),
+                    Value::Text("c".repeat(100)),
+                ],
+            )
+            .unwrap();
+        }
+        db.execute("COMMIT").unwrap();
+        db.execute("BEGIN").unwrap();
+        let pager = db.pager_mut();
+        let schema = pager.schema_root();
+        // A page of the wanted kind in the data table, and a rowid whose
+        // lookup passes through it (a leaf's first cell starts with one).
+        let (pgno, rowid) = (1..pager.page_count())
+            .filter(|&pg| pg != schema)
+            .find_map(|pg| {
+                pager
+                    .with_page(pg, |b| {
+                        let first = i64::from_le_bytes(b[12..20].try_into().unwrap());
+                        (b[0] == kind).then_some((pg, first.max(1)))
+                    })
+                    .unwrap()
+            })
+            .unwrap();
+        pager
+            .with_page_mut(pgno, |b| b[2..4].copy_from_slice(&[0xFF, 0xFF]))
+            .unwrap();
+        let corrupt = |r: crate::error::Result<Vec<Vec<Value>>>| {
+            assert!(matches!(r, Err(DbError::Corrupt(_))), "kind {kind}: {r:?}");
+        };
+        corrupt(db.query_with(
+            "SELECT ps_supplycost FROM partsupp WHERE ps_id = ?",
+            &[Value::Int(rowid)],
+        ));
+        corrupt(db.query_with(
+            "SELECT ps_id FROM partsupp WHERE ps_id >= ? AND ps_id <= ?",
+            &[Value::Int(rowid), Value::Int(rowid + 5)],
+        ));
+        let update = db.execute_with(
+            "UPDATE partsupp SET ps_supplycost = ? WHERE ps_id = ?",
+            &[Value::Real(2.5), Value::Int(rowid)],
+        );
+        assert!(
+            matches!(update, Err(DbError::Corrupt(_))),
+            "kind {kind}: {update:?}"
+        );
+    }
+}

@@ -15,6 +15,11 @@
 //! memory pressure uncommitted dirty pages spill to storage early — via
 //! the journal-sync-then-spill dance in `Rollback` mode, an uncommitted
 //! WAL frame in `Wal` mode, and a tid-tagged `write_tx` in `Off` mode.
+//!
+//! Callers work on pages where they sit in the cache: [`Pager::with_page`]
+//! lends a frame for reading and [`Pager::with_page_mut`] for patching in
+//! place, and commits write dirty frames to the file system straight from
+//! the cache. Only [`Pager::put`] takes a whole new page image.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -136,6 +141,10 @@ pub struct Pager<D: BlockDevice> {
     cache: HashMap<PageNo, Frame>,
     cache_cap: usize,
     tick: u64,
+    /// Images of frames evicted while [`Pager::retaining_evicted`] runs,
+    /// so a B-tree operation can come back to a page it read earlier
+    /// without a device read it would not have needed had it held a copy.
+    evicted: Option<HashMap<PageNo, Vec<u8>>>,
 
     /// Committed page count (header field), plus in-tx growth.
     page_count: u32,
@@ -212,6 +221,7 @@ impl<D: BlockDevice> Pager<D> {
             // pages that is 256 frames.
             cache_cap: 256,
             tick: 0,
+            evicted: None,
             page_count: 1,
             freelist_head: 0,
             schema_root: 0,
@@ -310,12 +320,16 @@ impl<D: BlockDevice> Pager<D> {
     }
 
     fn write_header(&mut self) -> Result<()> {
-        let mut hdr = self.page(0)?;
-        hdr[0..8].copy_from_slice(&DB_MAGIC.to_le_bytes());
-        hdr[8..12].copy_from_slice(&self.page_count.to_le_bytes());
-        hdr[12..16].copy_from_slice(&self.freelist_head.to_le_bytes());
-        hdr[16..20].copy_from_slice(&self.schema_root.to_le_bytes());
-        self.put(0, hdr)
+        let fields = [self.page_count, self.freelist_head, self.schema_root];
+        self.retaining_evicted(|pager| {
+            pager.with_page(0, |_| ())?;
+            pager.with_page_mut(0, |hdr| {
+                hdr[0..8].copy_from_slice(&DB_MAGIC.to_le_bytes());
+                for (i, v) in fields.iter().enumerate() {
+                    hdr[8 + 4 * i..12 + 4 * i].copy_from_slice(&v.to_le_bytes());
+                }
+            })
+        })
     }
 
     // --- transactions -------------------------------------------------------
@@ -621,32 +635,35 @@ impl<D: BlockDevice> Pager<D> {
         self.write_header()?;
         self.sync_journal()?;
         // Force: write every dirty page to the database file.
-        let mut dirty: Vec<PageNo> = self.dirty_in_tx.iter().copied().collect();
-        dirty.sort_unstable();
-        for pgno in dirty {
-            let data = match self.cache.get_mut(&pgno) {
-                Some(f) => {
-                    f.dirty = false;
-                    f.data.clone()
-                }
-                // Spilled under cache pressure: already written home; the
-                // fsync below makes it durable.
-                None => continue,
-            };
-            self.fs.borrow_mut().write(
-                self.db_ino,
-                pgno as u64 * self.page_size as u64,
-                &data,
-                None,
-            )?;
-            self.stats.db_writes += 1;
-        }
+        self.write_dirty_home(None)?;
         self.fs.borrow_mut().fsync(self.db_ino, None)?;
         self.stats.fsyncs += 1;
         // Commit point: finalize the journal (delete / truncate / zero
         // per the mode), durably, so a stale journal can never roll the
         // transaction back after a crash.
         self.finalize_journal()?;
+        Ok(())
+    }
+
+    /// Force-writes the transaction's cached dirty pages to the database
+    /// file in page order, straight from their cache frames. Pages spilled
+    /// under cache pressure are already home (under `tid` in `Off` mode).
+    fn write_dirty_home(&mut self, tid: Option<Tid>) -> Result<()> {
+        let mut dirty: Vec<PageNo> = self.dirty_in_tx.iter().copied().collect();
+        dirty.sort_unstable();
+        for pgno in dirty {
+            let Some(frame) = self.cache.get_mut(&pgno) else {
+                continue;
+            };
+            frame.dirty = false;
+            self.fs.borrow_mut().write(
+                self.db_ino,
+                pgno as u64 * self.page_size as u64,
+                &frame.data,
+                tid,
+            )?;
+            self.stats.db_writes += 1;
+        }
         Ok(())
     }
 
@@ -811,17 +828,21 @@ impl<D: BlockDevice> Pager<D> {
         let last = dirty.len().saturating_sub(1);
         for (i, pgno) in dirty.iter().enumerate() {
             // A spilled page already has an (uncommitted) frame; re-read it
-            // so the final, commit-flagged frame sequence stays intact.
-            let data = match self.cache.get_mut(pgno) {
+            // so the final, commit-flagged frame sequence stays intact. A
+            // cached page lends its buffer to the append and gets it back.
+            let (data, cached) = match self.cache.get_mut(pgno) {
                 Some(f) => {
                     f.dirty = false;
-                    f.data.clone()
+                    (std::mem::take(&mut f.data), true)
                 }
-                None => self.read_page_raw(*pgno)?,
+                None => (self.read_page_raw(*pgno)?, false),
             };
             let commit_size = if i == last { self.page_count } else { 0 };
-            let off = self.wal_append_frame(*pgno, &data, commit_size)?;
-            self.wal_index.insert(*pgno, off);
+            let res = self.wal_append_frame(*pgno, &data, commit_size);
+            if let (true, Some(f)) = (cached, self.cache.get_mut(pgno)) {
+                f.data = data;
+            }
+            self.wal_index.insert(*pgno, res?);
         }
         let Some(ino) = self.wal_ino else {
             unreachable!("WAL open")
@@ -883,25 +904,7 @@ impl<D: BlockDevice> Pager<D> {
         let Some(tid) = self.tid else {
             unreachable!("Off-mode tx has a tid")
         };
-        let mut dirty: Vec<PageNo> = self.dirty_in_tx.iter().copied().collect();
-        dirty.sort_unstable();
-        for pgno in dirty {
-            let data = match self.cache.get_mut(&pgno) {
-                Some(f) => {
-                    f.dirty = false;
-                    f.data.clone()
-                }
-                // Spilled: already stolen to the device under this tid.
-                None => continue,
-            };
-            self.fs.borrow_mut().write(
-                self.db_ino,
-                pgno as u64 * self.page_size as u64,
-                &data,
-                Some(tid),
-            )?;
-            self.stats.db_writes += 1;
-        }
+        self.write_dirty_home(Some(tid))?;
         // Single fsync: force-write plus device commit (§4.3).
         self.fs.borrow_mut().fsync(self.db_ino, Some(tid))?;
         self.stats.fsyncs += 1;
@@ -941,31 +944,12 @@ impl<D: BlockDevice> Pager<D> {
         let Some(tid) = self.tid else {
             unreachable!("Off-mode tx has a tid")
         };
-        let res = (|| {
-            let mut dirty: Vec<PageNo> = self.dirty_in_tx.iter().copied().collect();
-            dirty.sort_unstable();
-            for pgno in dirty {
-                let data = match self.cache.get_mut(&pgno) {
-                    Some(f) => {
-                        f.dirty = false;
-                        f.data.clone()
-                    }
-                    // Spilled: already stolen to the device under this tid.
-                    None => continue,
-                };
-                self.fs.borrow_mut().write(
-                    self.db_ino,
-                    pgno as u64 * self.page_size as u64,
-                    &data,
-                    Some(tid),
-                )?;
-                self.stats.db_writes += 1;
-            }
-            self.fs.borrow_mut().fsync_submit(self.db_ino, tid)
-        })();
+        let res = self
+            .write_dirty_home(Some(tid))
+            .and_then(|()| Ok(self.fs.borrow_mut().fsync_submit(self.db_ino, tid)?));
         let ticket = match res {
             Ok(t) => t,
-            Err(e) => return Err(self.unwind_conflict(e.into())?),
+            Err(e) => return Err(self.unwind_conflict(e)?),
         };
         self.stats.fsyncs += 1;
         self.record_span(OpClass::PagerFlush, tid, 0, t0);
@@ -1028,24 +1012,7 @@ impl<D: BlockDevice> Pager<D> {
             unreachable!("Off-mode tx has a tid")
         };
         self.write_header()?;
-        let mut dirty: Vec<PageNo> = self.dirty_in_tx.iter().copied().collect();
-        dirty.sort_unstable();
-        for pgno in dirty {
-            let data = match self.cache.get_mut(&pgno) {
-                Some(f) => {
-                    f.dirty = false;
-                    f.data.clone()
-                }
-                None => continue, // spilled: already on the device under tid
-            };
-            self.fs.borrow_mut().write(
-                self.db_ino,
-                pgno as u64 * self.page_size as u64,
-                &data,
-                Some(tid),
-            )?;
-            self.stats.db_writes += 1;
-        }
+        self.write_dirty_home(Some(tid))?;
         self.fs.borrow_mut().fsync_defer_commit(self.db_ino, tid)?;
         self.stats.fsyncs += 1;
         self.end_tx();
@@ -1070,24 +1037,7 @@ impl<D: BlockDevice> Pager<D> {
         self.ensure_journal()?;
         self.master_name = Some(master.to_string());
         self.sync_journal()?;
-        let mut dirty: Vec<PageNo> = self.dirty_in_tx.iter().copied().collect();
-        dirty.sort_unstable();
-        for pgno in dirty {
-            let data = match self.cache.get_mut(&pgno) {
-                Some(f) => {
-                    f.dirty = false;
-                    f.data.clone()
-                }
-                None => continue,
-            };
-            self.fs.borrow_mut().write(
-                self.db_ino,
-                pgno as u64 * self.page_size as u64,
-                &data,
-                None,
-            )?;
-            self.stats.db_writes += 1;
-        }
+        self.write_dirty_home(None)?;
         self.fs.borrow_mut().fsync(self.db_ino, None)?;
         self.stats.fsyncs += 1;
         Ok(())
@@ -1139,29 +1089,104 @@ impl<D: BlockDevice> Pager<D> {
         Ok(buf)
     }
 
-    /// Returns a copy of page `pgno`.
-    pub fn page(&mut self, pgno: PageNo) -> Result<Vec<u8>> {
-        if let Some(f) = self.cache.get_mut(&pgno) {
-            f.tick = self.tick + 1;
+    /// Runs `f` on page `pgno` where it sits in the cache, fetching it on
+    /// a miss. Counts as one access for LRU order.
+    pub fn with_page<R>(&mut self, pgno: PageNo, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
+        if let Some(frame) = self.cache.get_mut(&pgno) {
             self.tick += 1;
-            return Ok(f.data.clone());
+            frame.tick = self.tick;
+            return Ok(f(&frame.data));
         }
         let data = self.read_page_raw(pgno)?;
+        let out = f(&data);
         let tick = self.touch();
         self.cache.insert(
             pgno,
             Frame {
-                data: data.clone(),
+                data,
                 dirty: false,
                 tick,
             },
         );
         self.evict_if_needed()?;
-        Ok(data)
+        Ok(out)
     }
 
-    /// Writes page `pgno` (transaction required). In rollback mode the
-    /// original is journaled first.
+    /// Modifies page `pgno` in place (transaction required): the write
+    /// counterpart of [`Pager::with_page`], with exactly the journaling,
+    /// dirty marking and LRU effect of a [`Pager::put`] of the patched
+    /// page. Meant for a page the caller has just read; if it has left the
+    /// cache since, its image comes from the eviction stash of
+    /// [`Pager::retaining_evicted`], or failing that from storage.
+    pub fn with_page_mut<R>(&mut self, pgno: PageNo, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
+        if !self.in_tx {
+            return Err(DbError::TxState("page write outside a transaction"));
+        }
+        if self.mode.is_rollback() && !self.dirty_in_tx.contains(&pgno) {
+            self.journal_original(pgno)?;
+        }
+        let image = if self.cache.contains_key(&pgno) {
+            None
+        } else {
+            Some(self.evicted_image(pgno)?)
+        };
+        let tick = self.touch();
+        let frame = self.cache.entry(pgno).or_insert_with(|| Frame {
+            data: image.unwrap_or_default(),
+            dirty: true,
+            tick,
+        });
+        frame.dirty = true;
+        frame.tick = tick;
+        let out = f(&mut frame.data);
+        self.dirty_in_tx.insert(pgno);
+        self.evict_if_needed()?;
+        Ok(out)
+    }
+
+    /// Runs `f` on the current image of page `pgno` without counting an
+    /// access: for a B-tree operation returning to a page it read on the
+    /// way down. Served from the cache or the eviction stash; storage is
+    /// read only if the page was never seen.
+    pub(crate) fn peek<R>(&mut self, pgno: PageNo, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
+        if let Some(frame) = self.cache.get(&pgno) {
+            return Ok(f(&frame.data));
+        }
+        if let Some(data) = self.evicted.as_ref().and_then(|m| m.get(&pgno)) {
+            return Ok(f(data));
+        }
+        let data = self.read_page_raw(pgno)?;
+        Ok(f(&data))
+    }
+
+    /// Takes the stashed image of an evicted page, or reads it.
+    fn evicted_image(&mut self, pgno: PageNo) -> Result<Vec<u8>> {
+        match self.evicted.as_mut().and_then(|m| m.remove(&pgno)) {
+            Some(data) => Ok(data),
+            None => self.read_page_raw(pgno),
+        }
+    }
+
+    /// Runs one B-tree operation with evicted frames stashed instead of
+    /// dropped, so [`Pager::peek`] and [`Pager::with_page_mut`] can return
+    /// to a page read earlier in the operation without an I/O the
+    /// operation would not otherwise issue. Eviction order is unchanged;
+    /// the stash is dropped when `op` returns.
+    pub(crate) fn retaining_evicted<R>(
+        &mut self,
+        op: impl FnOnce(&mut Self) -> Result<R>,
+    ) -> Result<R> {
+        if self.evicted.is_some() {
+            return op(self);
+        }
+        self.evicted = Some(HashMap::new());
+        let out = op(self);
+        self.evicted = None;
+        out
+    }
+
+    /// Writes page `pgno` whole (transaction required). In rollback mode
+    /// the original is journaled first.
     pub fn put(&mut self, pgno: PageNo, data: Vec<u8>) -> Result<()> {
         assert_eq!(data.len(), self.page_size, "whole pages only");
         if !self.in_tx {
@@ -1188,8 +1213,7 @@ impl<D: BlockDevice> Pager<D> {
     pub fn alloc_page(&mut self) -> Result<PageNo> {
         if self.freelist_head != 0 {
             let pgno = self.freelist_head;
-            let page = self.page(pgno)?;
-            self.freelist_head = get_u32(&page, 0);
+            self.freelist_head = self.with_page(pgno, |page| get_u32(page, 0))?;
             self.write_header()?;
             return Ok(pgno);
         }
@@ -1234,43 +1258,50 @@ impl<D: BlockDevice> Pager<D> {
             let Some(frame) = self.cache.remove(&pgno) else {
                 unreachable!("victim exists")
             };
-            if !frame.dirty {
-                continue;
+            if frame.dirty {
+                self.spill(pgno, &frame.data)?;
             }
-            // Steal: spill an uncommitted page.
-            self.stats.spills += 1;
-            match self.mode {
-                m if m.is_rollback() => {
-                    // The original must be durably journaled before the DB
-                    // file may be overwritten.
-                    if (self.journal_synced_records as usize) < self.journaled.len() {
-                        self.sync_journal()?;
-                    }
-                    self.fs.borrow_mut().write(
-                        self.db_ino,
-                        pgno as u64 * self.page_size as u64,
-                        &frame.data,
-                        None,
-                    )?;
-                    self.stats.db_writes += 1;
+            if let Some(stash) = self.evicted.as_mut() {
+                stash.insert(pgno, frame.data);
+            }
+        }
+        Ok(())
+    }
+
+    /// Steal: writes an uncommitted page out of the cache early.
+    fn spill(&mut self, pgno: PageNo, data: &[u8]) -> Result<()> {
+        self.stats.spills += 1;
+        match self.mode {
+            m if m.is_rollback() => {
+                // The original must be durably journaled before the DB
+                // file may be overwritten.
+                if (self.journal_synced_records as usize) < self.journaled.len() {
+                    self.sync_journal()?;
                 }
-                DbJournalMode::Wal => {
-                    let off = self.wal_append_frame(pgno, &frame.data, 0)?;
-                    let prev = self.wal_index.insert(pgno, off);
-                    self.tx_frames.push((pgno, prev));
-                }
-                _ => {
-                    let Some(tid) = self.tid else {
-                        unreachable!("Off-mode tx has a tid")
-                    };
-                    self.fs.borrow_mut().write(
-                        self.db_ino,
-                        pgno as u64 * self.page_size as u64,
-                        &frame.data,
-                        Some(tid),
-                    )?;
-                    self.stats.db_writes += 1;
-                }
+                self.fs.borrow_mut().write(
+                    self.db_ino,
+                    pgno as u64 * self.page_size as u64,
+                    data,
+                    None,
+                )?;
+                self.stats.db_writes += 1;
+            }
+            DbJournalMode::Wal => {
+                let off = self.wal_append_frame(pgno, data, 0)?;
+                let prev = self.wal_index.insert(pgno, off);
+                self.tx_frames.push((pgno, prev));
+            }
+            _ => {
+                let Some(tid) = self.tid else {
+                    unreachable!("Off-mode tx has a tid")
+                };
+                self.fs.borrow_mut().write(
+                    self.db_ino,
+                    pgno as u64 * self.page_size as u64,
+                    data,
+                    Some(tid),
+                )?;
+                self.stats.db_writes += 1;
             }
         }
         Ok(())
