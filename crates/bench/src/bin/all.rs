@@ -1,6 +1,6 @@
 //! Regenerates every table and figure of the paper in one run, writing
-//! `BENCH_all.json` next to the text tables. `--quick` runs the reduced
-//! `cargo bench` scale; `--smoke` runs the minimal CI scale that
+//! `BENCH_all.json` next to the text tables. `--quick` runs a reduced
+//! scale; `--smoke` runs the minimal CI scale that
 //! `xtask bench-check` diffs against `BENCH_BASELINE.json`.
 use xftl_bench::experiments::*;
 use xftl_bench::{metrics, write_report, RunScale};

@@ -119,7 +119,6 @@ pub fn measure(mode: Mode, scale: RecoveryScale) -> RecoveryMeasurement {
                 breakdown.xl2p_ns,
             )
         }
-        AnyDev::AtomicW(_) => unreachable!("rig never builds the baseline for Table 5"),
     };
     let rig = Rig::reassemble(dev, clock, cfg);
     // SQLite-level restart: the first open performs the mode's recovery

@@ -2,8 +2,8 @@
 //!
 //! Each experiment of the paper's evaluation (§6) has a module under
 //! [`experiments`] and a binary (`cargo run --release -p xftl-bench --bin
-//! fig5` etc.). The `figures` bench target (`cargo bench`) runs every
-//! experiment at a reduced "quick" scale and prints the same tables.
+//! fig5` etc.). The `all` binary runs every experiment in one pass;
+//! `--quick` runs it at a reduced scale and prints the same tables.
 //!
 //! | paper artifact | module | binary |
 //! |---|---|---|

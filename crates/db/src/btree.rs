@@ -1177,9 +1177,22 @@ fn collapse_root<D: BlockDevice>(pager: &mut Pager<D>, root: PageNo) -> Result<(
 
 // --- index tree --------------------------------------------------------------
 
+/// Rejects an index key of a quarter page or more: a split must always
+/// leave each half room for the key that caused it.
+pub fn check_index_key(page_size: usize, key: &[u8]) -> Result<()> {
+    if key.len() < page_size / 4 {
+        return Ok(());
+    }
+    Err(DbError::Constraint(format!(
+        "index key of {} bytes exceeds the {}-byte limit",
+        key.len(),
+        page_size / 4 - 1
+    )))
+}
+
 /// Inserts an encoded key (keys are unique: they embed the rowid).
 pub fn index_insert<D: BlockDevice>(pager: &mut Pager<D>, root: PageNo, key: &[u8]) -> Result<()> {
-    assert!(key.len() < pager.page_size() / 4, "index key too large");
+    check_index_key(pager.page_size(), key)?;
     pager.retaining_evicted(|pager| match index_insert_rec(pager, root, key)? {
         Split::None => Ok(()),
         Split::Promoted { sep, right } => grow_root(pager, root, sep, right),

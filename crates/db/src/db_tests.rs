@@ -1099,3 +1099,45 @@ fn corrupt_cell_count_is_an_error_not_a_panic() {
         );
     }
 }
+
+/// An indexed value too large for an index page is a constraint error
+/// raised before the statement writes a page: inside an open transaction,
+/// where no rollback would hide a partial write, the table and its index
+/// are left as they were.
+#[test]
+fn oversized_index_key_is_rejected_before_any_write() {
+    let mut db = conn(DbJournalMode::Rollback);
+    db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+        .unwrap();
+    db.execute("CREATE INDEX iv ON t(v)").unwrap();
+    db.execute("INSERT INTO t VALUES (1, 'short')").unwrap();
+    let long = Value::Text("x".repeat(3000));
+    db.execute("BEGIN").unwrap();
+    let insert = db.execute_with("INSERT INTO t VALUES (2, ?)", std::slice::from_ref(&long));
+    assert!(matches!(insert, Err(DbError::Constraint(_))), "{insert:?}");
+    let update = db.execute_with("UPDATE t SET v = ? WHERE id = 1", &[long]);
+    assert!(matches!(update, Err(DbError::Constraint(_))), "{update:?}");
+    db.execute("COMMIT").unwrap();
+    let rows = db.query("SELECT id, v FROM t").unwrap();
+    assert_eq!(rows, vec![vec![Value::Int(1), Value::Text("short".into())]]);
+    let by_index = db.query("SELECT id FROM t WHERE v = 'short'").unwrap();
+    assert_eq!(by_index, vec![vec![Value::Int(1)]]);
+}
+
+/// Pager calls that do not fit the pager's mode or page size are typed
+/// errors that leave the open transaction usable.
+#[test]
+fn pager_misuse_is_a_typed_error_not_a_panic() {
+    let mut db = conn(DbJournalMode::Rollback);
+    let pager = db.pager_mut();
+    pager.begin().unwrap();
+    let deferred = pager.commit_off_deferred();
+    assert!(matches!(deferred, Err(DbError::TxState(_))), "{deferred:?}");
+    let short_page = pager.put(1, vec![0u8; 16]);
+    assert!(
+        matches!(short_page, Err(DbError::Corrupt(_))),
+        "{short_page:?}"
+    );
+    assert!(pager.in_tx());
+    pager.rollback().unwrap();
+}

@@ -433,6 +433,27 @@ fn index_keys_for(info: &TableInfo, ix: &IndexInfo, row: &[Value], rowid: i64) -
     encode_index_key(&vals, rowid)
 }
 
+/// `row`'s key in each index of `table`, each checked to fit an index
+/// page, so a row whose key is too large fails before it writes a page.
+fn checked_index_keys<D: BlockDevice>(
+    pager: &Pager<D>,
+    catalog: &Catalog,
+    table: &str,
+    info: &TableInfo,
+    row: &[Value],
+    rowid: i64,
+) -> Result<Vec<(IndexInfo, Vec<u8>)>> {
+    catalog
+        .indexes_of(table)
+        .into_iter()
+        .map(|ix| {
+            let key = index_keys_for(info, &ix, row, rowid);
+            btree::check_index_key(pager.page_size(), &key)?;
+            Ok((ix, key))
+        })
+        .collect()
+}
+
 fn insert_row<D: BlockDevice>(
     pager: &mut Pager<D>,
     catalog: &mut Catalog,
@@ -446,6 +467,7 @@ fn insert_row<D: BlockDevice>(
         Some(explicit) => explicit,
         None => info.next_rowid,
     };
+    let keys = checked_index_keys(pager, catalog, table, &info, &row, rowid)?;
     let existing = btree::table_get(pager, info.root, rowid)?;
     if existing.is_some() && !or_replace {
         return Err(DbError::Constraint(format!("{table} rowid {rowid}")));
@@ -464,8 +486,7 @@ fn insert_row<D: BlockDevice>(
     }
     let rec = encode_record(&stored);
     btree::table_insert(pager, info.root, rowid, &rec)?;
-    for ix in catalog.indexes_of(table) {
-        let key = index_keys_for(&info, &ix, &row, rowid);
+    for (ix, key) in keys {
         btree::index_insert(pager, ix.root, &key)?;
     }
     let tinfo = catalog.table_mut(table)?;
@@ -997,12 +1018,13 @@ pub fn run_stmt<D: BlockDevice>(
                     .rowid_alias
                     .and_then(|i| new_row[i].as_i64())
                     .unwrap_or(rowid);
+                let new_keys =
+                    checked_index_keys(pager, catalog, table, &info, &new_row, new_rowid)?;
                 if new_rowid == rowid {
                     // In-place update: touch only the indexes whose key
                     // actually changed (as SQLite does).
-                    for ix in catalog.indexes_of(table) {
+                    for (ix, new_key) in new_keys {
                         let old_key = index_keys_for(&info, &ix, &old_row, rowid);
-                        let new_key = index_keys_for(&info, &ix, &new_row, rowid);
                         if old_key != new_key {
                             btree::index_delete(pager, ix.root, &old_key)?;
                             btree::index_insert(pager, ix.root, &new_key)?;

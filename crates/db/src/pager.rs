@@ -130,14 +130,225 @@ struct Frame {
     tick: u64,
 }
 
+/// How a rollback journal is finalized: the step whose durability is the
+/// rollback-journal commit point.
+#[derive(Debug, Clone, Copy)]
+enum Finalize {
+    /// DELETE: unlink the journal, then dirsync.
+    Delete,
+    /// TRUNCATE: shrink the journal to zero length, then dirsync.
+    Truncate,
+    /// PERSIST: zero the journal header, then fsync.
+    Persist,
+}
+
+/// Rollback-journal state of the open transaction.
+#[derive(Debug, Default)]
+struct RollbackTx {
+    /// The journal file, once the transaction has journaled a page.
+    ino: Option<Ino>,
+    /// Journaled pages in record order.
+    journaled: Vec<PageNo>,
+    journaled_set: HashSet<PageNo>,
+    /// Records covered by the last journal sync.
+    synced_records: u32,
+    /// Master-journal name recorded in the journal header during a
+    /// multi-file commit (§4.3 / SQLite's master journal protocol).
+    master_name: Option<String>,
+}
+
+impl RollbackTx {
+    /// The journal header page naming the first `records` journaled pages.
+    fn header(&self, page_size: usize, orig_page_count: u32, records: u32) -> Vec<u8> {
+        let mut hdr = vec![0u8; page_size];
+        hdr[0..8].copy_from_slice(&RJ_MAGIC.to_le_bytes());
+        hdr[8..12].copy_from_slice(&records.to_le_bytes());
+        hdr[12..16].copy_from_slice(&orig_page_count.to_le_bytes());
+        for (i, pgno) in self.journaled.iter().take(records as usize).enumerate() {
+            let off = 16 + i * 4;
+            hdr[off..off + 4].copy_from_slice(&pgno.to_le_bytes());
+        }
+        // Master-journal name in the trailing 256 bytes of the header.
+        if let Some(m) = &self.master_name {
+            let tail = page_size - 256;
+            let bytes = m.as_bytes();
+            let len = bytes.len().min(250);
+            hdr[tail..tail + 2].copy_from_slice(&(len as u16).to_le_bytes());
+            hdr[tail + 2..tail + 2 + len].copy_from_slice(&bytes[..len]);
+        }
+        hdr
+    }
+}
+
+fn decode_master_name(hdr: &[u8]) -> Option<String> {
+    let tail = hdr.len() - 256;
+    let len = usize::from(get_u16(hdr, tail));
+    if len == 0 || len > 250 {
+        return None;
+    }
+    Some(String::from_utf8_lossy(&hdr[tail + 2..tail + 2 + len]).into_owned())
+}
+
+/// An open write-ahead log.
+#[derive(Debug)]
+struct Wal {
+    ino: Ino,
+    /// page -> byte offset of the latest committed (or own-tx) frame image.
+    index: HashMap<PageNo, u64>,
+    /// Append offset in the WAL file.
+    end: u64,
+    /// Frames since the last checkpoint.
+    frames: u32,
+    /// File offset just past the last *committed* frame.
+    last_commit_end: u64,
+    /// Frames appended by the open transaction, with the index entry they
+    /// displaced (restored on rollback); `Some` exactly while a
+    /// transaction is open.
+    tx_frames: Option<Vec<(PageNo, Option<u64>)>>,
+}
+
+impl Wal {
+    /// Appends one frame; returns the payload offset.
+    fn append<D: BlockDevice>(
+        &mut self,
+        file: &mut DbFile<D>,
+        pgno: PageNo,
+        data: &[u8],
+        commit_size: u32,
+    ) -> Result<u64> {
+        let mut frame = Vec::with_capacity(WAL_FRAME_HDR as usize + data.len());
+        let mut fh = vec![0u8; WAL_FRAME_HDR as usize];
+        fh[0..4].copy_from_slice(&pgno.to_le_bytes());
+        fh[4..8].copy_from_slice(&commit_size.to_le_bytes());
+        fh[8..16].copy_from_slice(&WAL_MAGIC.to_le_bytes());
+        frame.extend_from_slice(&fh);
+        frame.extend_from_slice(data);
+        let off = self.end;
+        file.fs.borrow_mut().write(self.ino, off, &frame, None)?;
+        // Page-equivalents: a frame is a bit more than one page.
+        file.stats.journal_writes += 1;
+        self.end = off + frame.len() as u64;
+        self.frames += 1;
+        Ok(off + WAL_FRAME_HDR)
+    }
+}
+
+/// The open `Off`-mode transaction.
+#[derive(Debug, Clone, Copy)]
+struct OffTx {
+    tid: Tid,
+    /// Header triple (page_count, freelist_head, schema_root) at
+    /// [`Pager::begin_concurrent`]; `None` for a plain transaction. A
+    /// snapshot transaction holds a device snapshot and validates
+    /// first-committer-wins at commit, and its header page is only
+    /// force-written when the triple changed, so disjoint concurrent
+    /// writers do not all collide on page 0.
+    snapshot: Option<(u32, u32, u32)>,
+}
+
+/// The journal protocol of a pager, holding only that protocol's state.
+/// The transaction part of each variant is `Some` exactly while a
+/// transaction is open.
+#[derive(Debug)]
+enum Journal {
+    Rollback(Finalize, Option<RollbackTx>),
+    Wal(Wal),
+    Off(Option<OffTx>),
+}
+
+/// The database file, the file system it lives on, and the counters and
+/// spans of the pager's I/O: kept apart from the journal state so a
+/// protocol step can borrow both.
+#[derive(Debug)]
+struct DbFile<D: BlockDevice> {
+    fs: SharedFs<D>,
+    name: String,
+    ino: Ino,
+    page_size: usize,
+    stats: PagerStats,
+    /// Telemetry sink plus the clock that timestamps its spans; absent
+    /// until [`Pager::set_recorder`] installs them.
+    recorder: Telemetry,
+    clock: Option<SimClock>,
+}
+
+impl<D: BlockDevice> DbFile<D> {
+    fn span_start(&self) -> Option<Nanos> {
+        self.clock.as_ref().map(SimClock::now)
+    }
+
+    fn record_span(&self, op: OpClass, tid: u64, lpn: u64, t_start: Option<Nanos>) {
+        if let (Some(clock), Some(t0)) = (&self.clock, t_start) {
+            self.recorder.record_span(op, tid, lpn, t0, clock.now());
+        }
+    }
+
+    fn journal_name(&self) -> String {
+        format!("{}-journal", self.name)
+    }
+
+    /// Reads page `pgno` bypassing the pager cache: its newest frame if
+    /// `wal` holds one, else the database file (under `tid`).
+    fn read_page(&mut self, pgno: PageNo, wal: Option<&Wal>, tid: Option<Tid>) -> Result<Vec<u8>> {
+        let (ino, off) = match wal.and_then(|w| Some((w.ino, *w.index.get(&pgno)?))) {
+            Some(frame) => frame,
+            None => (self.ino, pgno as u64 * self.page_size as u64),
+        };
+        let mut buf = vec![0u8; self.page_size];
+        self.stats.reads += 1;
+        let t0 = self.span_start();
+        self.fs.borrow_mut().read(ino, off, &mut buf, tid)?;
+        self.record_span(OpClass::PagerFetch, tid.unwrap_or(0), u64::from(pgno), t0);
+        Ok(buf)
+    }
+
+    /// Writes page `pgno` of the database file.
+    fn write_page(&mut self, pgno: PageNo, data: &[u8], tid: Option<Tid>) -> Result<()> {
+        let off = pgno as u64 * self.page_size as u64;
+        self.fs.borrow_mut().write(self.ino, off, data, tid)?;
+        self.stats.db_writes += 1;
+        Ok(())
+    }
+
+    /// fsyncs the database file.
+    fn sync(&mut self) -> Result<()> {
+        self.fs.borrow_mut().fsync(self.ino, None)?;
+        self.stats.fsyncs += 1;
+        Ok(())
+    }
+
+    /// Finalizes the rollback journal `ino` after a commit, rollback, or
+    /// recovery, durably: DELETE unlinks (plus dirsync), TRUNCATE shrinks
+    /// to zero, PERSIST zeroes the header.
+    fn finalize_journal(&mut self, how: Finalize, ino: Ino) -> Result<()> {
+        match how {
+            Finalize::Truncate => {
+                self.fs.borrow_mut().truncate(ino, 0)?;
+                self.fs.borrow_mut().sync_meta(None)?;
+                self.stats.dirsyncs += 1;
+            }
+            Finalize::Persist => {
+                let zero = vec![0u8; self.page_size];
+                self.fs.borrow_mut().write(ino, 0, &zero, None)?;
+                self.stats.journal_writes += 1;
+                self.fs.borrow_mut().fsync(ino, None)?;
+                self.stats.fsyncs += 1;
+            }
+            Finalize::Delete => {
+                self.fs.borrow_mut().unlink(&self.journal_name())?;
+                self.fs.borrow_mut().sync_meta(None)?;
+                self.stats.dirsyncs += 1;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The pager over one database file.
 #[derive(Debug)]
 pub struct Pager<D: BlockDevice> {
-    fs: SharedFs<D>,
-    pub(crate) name: String,
-    db_ino: Ino,
-    mode: DbJournalMode,
-    page_size: usize,
+    file: DbFile<D>,
+    journal: Journal,
     cache: HashMap<PageNo, Frame>,
     cache_cap: usize,
     tick: u64,
@@ -151,52 +362,12 @@ pub struct Pager<D: BlockDevice> {
     freelist_head: u32,
     schema_root: u32,
 
-    in_tx: bool,
-    tid: Option<Tid>,
-    /// Open transaction was started with [`Pager::begin_concurrent`]: it
-    /// holds a device snapshot and validates first-committer-wins at
-    /// commit.
-    concurrent: bool,
     dirty_in_tx: HashSet<PageNo>,
-
-    // Rollback-journal state.
-    journal_ino: Option<Ino>,
-    journaled: Vec<PageNo>,
-    journaled_set: HashSet<PageNo>,
-    journal_synced_records: u32,
-    /// Master-journal name recorded in the journal header during a
-    /// multi-file commit (§4.3 / SQLite's master journal protocol).
-    master_name: Option<String>,
     /// Page count at transaction start (journal restores it on rollback).
     tx_orig_page_count: u32,
-    /// Header triple (page_count, freelist_head, schema_root) at
-    /// `BEGIN CONCURRENT`: the header page is only force-written when the
-    /// triple changed, so disjoint concurrent writers do not all collide
-    /// on page 0.
-    tx_orig_header: (u32, u32, u32),
 
-    // WAL state.
-    wal_ino: Option<Ino>,
-    /// page -> byte offset of the latest committed (or own-tx) frame image.
-    wal_index: HashMap<PageNo, u64>,
-    /// Append offset in the WAL file.
-    wal_end: u64,
-    /// Frames since the last checkpoint.
-    wal_frames: u32,
-    /// Frames appended by the open transaction, with the index entry they
-    /// displaced (restored on rollback).
-    tx_frames: Vec<(PageNo, Option<u64>)>,
-    /// File offset just past the last *committed* frame.
-    wal_last_commit_end: u64,
     /// Checkpoint threshold in frames (SQLite default: 1000).
     pub wal_autocheckpoint: u32,
-
-    stats: PagerStats,
-
-    /// Telemetry sink plus the clock that timestamps its spans; absent
-    /// until [`Pager::set_recorder`] installs them.
-    recorder: Telemetry,
-    clock: Option<SimClock>,
 }
 
 impl<D: BlockDevice> Pager<D> {
@@ -211,11 +382,16 @@ impl<D: BlockDevice> Pager<D> {
             fs.borrow_mut().create(name)?
         };
         let mut pager = Pager {
-            fs,
-            name: name.to_string(),
-            db_ino,
-            mode,
-            page_size,
+            file: DbFile {
+                fs,
+                name: name.to_string(),
+                ino: db_ino,
+                page_size,
+                stats: PagerStats::default(),
+                recorder: Telemetry::disabled(),
+                clock: None,
+            },
+            journal: Journal::Off(None),
             cache: HashMap::new(),
             // SQLite's default cache_size is ~2 MB; with the paper's 8 KB
             // pages that is 256 frames.
@@ -225,34 +401,20 @@ impl<D: BlockDevice> Pager<D> {
             page_count: 1,
             freelist_head: 0,
             schema_root: 0,
-            in_tx: false,
-            tid: None,
-            concurrent: false,
             dirty_in_tx: HashSet::new(),
-            journal_ino: None,
-            journaled: Vec::new(),
-            journaled_set: HashSet::new(),
-            journal_synced_records: 0,
-            master_name: None,
             tx_orig_page_count: 1,
-            tx_orig_header: (1, 0, 0),
-            wal_ino: None,
-            wal_index: HashMap::new(),
-            wal_end: 0,
-            wal_frames: 0,
-            tx_frames: Vec::new(),
-            wal_last_commit_end: 0,
             wal_autocheckpoint: 1000,
-            stats: PagerStats::default(),
-            recorder: Telemetry::disabled(),
-            clock: None,
         };
-        if mode.is_rollback() {
-            pager.recover_hot_journal()?;
-        }
-        if mode == DbJournalMode::Wal {
+        pager.journal = match mode {
+            DbJournalMode::Rollback => Journal::Rollback(Finalize::Delete, None),
+            DbJournalMode::RollbackTruncate => Journal::Rollback(Finalize::Truncate, None),
+            DbJournalMode::RollbackPersist => Journal::Rollback(Finalize::Persist, None),
             // The newest header may live in the WAL: index it first.
-            pager.wal_open()?;
+            DbJournalMode::Wal => Journal::Wal(pager.wal_open()?),
+            DbJournalMode::Off => Journal::Off(None),
+        };
+        if let Journal::Rollback(how, _) = pager.journal {
+            pager.recover_hot_journal(how)?;
         }
         if existing {
             pager.load_header()?;
@@ -261,25 +423,24 @@ impl<D: BlockDevice> Pager<D> {
             let mut hdr = vec![0u8; page_size];
             hdr[0..8].copy_from_slice(&DB_MAGIC.to_le_bytes());
             hdr[8..12].copy_from_slice(&1u32.to_le_bytes());
-            pager.fs.borrow_mut().write(db_ino, 0, &hdr, None)?;
-            pager.stats.db_writes += 1;
+            pager.file.write_page(0, &hdr, None)?;
         }
         Ok(pager)
     }
 
     /// Bytes per page.
     pub fn page_size(&self) -> usize {
-        self.page_size
+        self.file.page_size
     }
 
     /// Pager statistics.
     pub fn stats(&self) -> &PagerStats {
-        &self.stats
+        &self.file.stats
     }
 
     /// Resets statistics between experiment phases.
     pub fn reset_stats(&mut self) {
-        self.stats = PagerStats::default();
+        self.file.stats = PagerStats::default();
     }
 
     /// Root page of the schema table (0 = not yet created).
@@ -295,7 +456,7 @@ impl<D: BlockDevice> Pager<D> {
 
     /// Shared file system handle.
     pub fn shared_fs(&self) -> SharedFs<D> {
-        Rc::clone(&self.fs)
+        Rc::clone(&self.file.fs)
     }
 
     fn load_header(&mut self) -> Result<()> {
@@ -319,6 +480,11 @@ impl<D: BlockDevice> Pager<D> {
         Ok(())
     }
 
+    /// The header triple (page_count, freelist_head, schema_root).
+    fn header_fields(&self) -> (u32, u32, u32) {
+        (self.page_count, self.freelist_head, self.schema_root)
+    }
+
     fn write_header(&mut self) -> Result<()> {
         let fields = [self.page_count, self.freelist_head, self.schema_root];
         self.retaining_evicted(|pager| {
@@ -336,35 +502,44 @@ impl<D: BlockDevice> Pager<D> {
 
     /// True if a transaction is open.
     pub fn in_tx(&self) -> bool {
-        self.in_tx
+        match &self.journal {
+            Journal::Rollback(_, tx) => tx.is_some(),
+            Journal::Wal(wal) => wal.tx_frames.is_some(),
+            Journal::Off(tx) => tx.is_some(),
+        }
     }
 
     /// Installs a telemetry handle and the simulated clock that
     /// timestamps its spans (pass clones of the stack-wide pair).
     pub fn set_recorder(&mut self, clock: SimClock, recorder: Telemetry) {
-        self.clock = Some(clock);
-        self.recorder = recorder;
+        self.file.clock = Some(clock);
+        self.file.recorder = recorder;
     }
 
     pub(crate) fn span_start(&self) -> Option<Nanos> {
-        self.clock.as_ref().map(SimClock::now)
+        self.file.span_start()
     }
 
     pub(crate) fn record_span(&self, op: OpClass, tid: u64, lpn: u64, t_start: Option<Nanos>) {
-        if let (Some(clock), Some(t0)) = (&self.clock, t_start) {
-            self.recorder.record_span(op, tid, lpn, t0, clock.now());
-        }
+        self.file.record_span(op, tid, lpn, t_start);
     }
 
     /// Begins a transaction.
     pub fn begin(&mut self) -> Result<()> {
-        if self.in_tx {
+        if self.in_tx() {
             return Err(DbError::TxState("transaction already active"));
         }
-        self.in_tx = true;
         self.tx_orig_page_count = self.page_count;
-        if self.mode == DbJournalMode::Off {
-            self.tid = Some(self.fs.borrow_mut().begin_tx());
+        match &mut self.journal {
+            Journal::Rollback(_, tx) => *tx = Some(RollbackTx::default()),
+            Journal::Wal(wal) => wal.tx_frames = Some(Vec::new()),
+            Journal::Off(tx) => {
+                let tid = self.file.fs.borrow_mut().begin_tx();
+                *tx = Some(OffTx {
+                    tid,
+                    snapshot: None,
+                });
+            }
         }
         Ok(())
     }
@@ -377,53 +552,74 @@ impl<D: BlockDevice> Pager<D> {
     /// snapshot — another connection on the same file system may have
     /// committed since the cache was filled.
     pub fn begin_concurrent(&mut self) -> Result<()> {
-        if self.mode != DbJournalMode::Off {
-            return Err(DbError::TxState("BEGIN CONCURRENT needs journal mode Off"));
+        match self.journal {
+            Journal::Off(None) => {}
+            Journal::Off(Some(_)) => return Err(DbError::TxState("transaction already active")),
+            _ => return Err(DbError::TxState("BEGIN CONCURRENT needs journal mode Off")),
         }
-        if self.in_tx {
-            return Err(DbError::TxState("transaction already active"));
-        }
-        let tid = self.fs.borrow_mut().begin_tx_concurrent()?;
-        self.in_tx = true;
-        self.concurrent = true;
-        self.tid = Some(tid);
+        let tid = self.file.fs.borrow_mut().begin_tx_concurrent()?;
+        self.journal = Journal::Off(Some(OffTx {
+            tid,
+            snapshot: Some(self.header_fields()),
+        }));
         self.cache.clear();
         // Header fields re-read under the snapshot: a concurrent commit
         // by another connection must not bleed into this transaction.
         self.load_header()?;
         self.tx_orig_page_count = self.page_count;
-        self.tx_orig_header = (self.page_count, self.freelist_head, self.schema_root);
+        self.journal = Journal::Off(Some(OffTx {
+            tid,
+            snapshot: Some(self.header_fields()),
+        }));
         Ok(())
     }
 
     /// Commits the open transaction using the mode's protocol.
     pub fn commit(&mut self) -> Result<()> {
-        if !self.in_tx {
+        self.run_commit(|pager| match pager.journal {
+            // Single fsync: force-write plus device commit (§4.3).
+            Journal::Off(_) => pager.force_write_off(|fs, ino, tid| fs.fsync(ino, Some(tid))),
+            _ => pager.write_header().and_then(|()| pager.commit_journaled()),
+        })?;
+        Ok(())
+    }
+
+    /// Runs `protocol`, the commit of the open transaction, timed as one
+    /// pager flush. A transaction that wrote nothing skips it (`None`);
+    /// a snapshot transaction that loses first-committer-wins is unwound.
+    fn run_commit<T>(
+        &mut self,
+        protocol: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<Option<T>> {
+        if !self.in_tx() {
             return Err(DbError::TxState("no transaction active"));
         }
-        if self.dirty_in_tx.is_empty() && self.journal_ino.is_none() {
+        let journal_open = matches!(
+            self.journal,
+            Journal::Rollback(_, Some(RollbackTx { ino: Some(_), .. }))
+        );
+        if self.dirty_in_tx.is_empty() && !journal_open {
             // Read-only transaction: nothing to make durable — but a
             // snapshot transaction still holds device state to release.
-            if self.concurrent {
-                if let Some(tid) = self.tid {
-                    self.fs.borrow_mut().abort_tx(tid)?;
-                }
+            if let Journal::Off(Some(OffTx {
+                tid,
+                snapshot: Some(_),
+            })) = self.journal
+            {
+                self.file.fs.borrow_mut().abort_tx(tid)?;
             }
             self.end_tx();
-            return Ok(());
+            return Ok(None);
         }
-        let t0 = self.span_start();
-        let res = match self.mode {
-            m if m.is_rollback() => self.commit_rollback_mode(),
-            DbJournalMode::Wal => self.commit_wal_mode(),
-            _ => self.commit_off_mode(),
+        let t0 = self.file.span_start();
+        let out = match protocol(self) {
+            Ok(out) => out,
+            Err(e) => return Err(self.unwind_conflict(e)?),
         };
-        if let Err(e) = res {
-            return Err(self.unwind_conflict(e)?);
-        }
-        self.record_span(OpClass::PagerFlush, self.tid.unwrap_or(0), 0, t0);
+        self.file
+            .record_span(OpClass::PagerFlush, self.current_tid().unwrap_or(0), 0, t0);
         self.end_tx();
-        Ok(())
+        Ok(Some(out))
     }
 
     /// Conflict cleanup for a `BEGIN CONCURRENT` loser: the device and
@@ -431,7 +627,8 @@ impl<D: BlockDevice> Pager<D> {
     /// pager's own state needs unwinding. Maps the device error to
     /// [`DbError::Conflict`]; any other error passes through untouched.
     fn unwind_conflict(&mut self, e: DbError) -> Result<DbError> {
-        if !(self.concurrent && e == DbError::Fs(FsError::Dev(xftl_ftl::DevError::Conflict))) {
+        let snapshot = self.off_tx().is_ok_and(|tx| tx.snapshot.is_some());
+        if !(snapshot && e == DbError::Fs(FsError::Dev(xftl_ftl::DevError::Conflict))) {
             return Ok(e);
         }
         self.drop_dirty_cache();
@@ -442,34 +639,33 @@ impl<D: BlockDevice> Pager<D> {
 
     /// Rolls the open transaction back.
     pub fn rollback(&mut self) -> Result<()> {
-        if !self.in_tx {
+        if !self.in_tx() {
             return Err(DbError::TxState("no transaction active"));
         }
-        match self.mode {
-            m if m.is_rollback() => self.rollback_journal_mode()?,
-            DbJournalMode::Wal => {
+        self.drop_dirty_cache();
+        match &mut self.journal {
+            Journal::Rollback(..) => self.undo_from_journal()?,
+            Journal::Wal(wal) => {
                 // Frames spilled by this transaction are forgotten; index
                 // entries they displaced come back, and the file tail is
                 // rewound so the next transaction overwrites them.
-                for (pgno, prev) in std::mem::take(&mut self.tx_frames).into_iter().rev() {
+                let frames = wal.tx_frames.as_mut().map(std::mem::take);
+                for (pgno, prev) in frames.unwrap_or_default().into_iter().rev() {
                     match prev {
                         Some(off) => {
-                            self.wal_index.insert(pgno, off);
+                            wal.index.insert(pgno, off);
                         }
                         None => {
-                            self.wal_index.remove(&pgno);
+                            wal.index.remove(&pgno);
                         }
                     }
                 }
-                self.wal_end = self.wal_last_commit_end;
-                self.drop_dirty_cache();
+                wal.end = wal.last_commit_end;
             }
-            _ => {
-                self.drop_dirty_cache();
-                let Some(tid) = self.tid else {
-                    unreachable!("Off-mode tx has a tid")
-                };
-                self.fs.borrow_mut().abort_tx(tid)?;
+            Journal::Off(tx) => {
+                if let Some(tx) = tx {
+                    self.file.fs.borrow_mut().abort_tx(tx.tid)?;
+                }
             }
         }
         self.page_count = self.tx_orig_page_count;
@@ -479,21 +675,19 @@ impl<D: BlockDevice> Pager<D> {
     }
 
     fn end_tx(&mut self) {
-        self.in_tx = false;
-        self.tid = None;
-        if self.concurrent {
-            // Pages fetched under the snapshot may trail commits made by
-            // other connections meanwhile; drop them so later reads
-            // refetch current state.
-            self.cache.clear();
-            self.concurrent = false;
+        match &mut self.journal {
+            Journal::Rollback(_, tx) => *tx = None,
+            Journal::Wal(wal) => wal.tx_frames = None,
+            Journal::Off(tx) => {
+                if tx.take().is_some_and(|tx| tx.snapshot.is_some()) {
+                    // Pages fetched under the snapshot may trail commits
+                    // made by other connections meanwhile; drop them so
+                    // later reads refetch current state.
+                    self.cache.clear();
+                }
+            }
         }
         self.dirty_in_tx.clear();
-        self.journaled.clear();
-        self.journaled_set.clear();
-        self.journal_synced_records = 0;
-        self.master_name = None;
-        self.tx_frames.clear();
     }
 
     fn drop_dirty_cache(&mut self) {
@@ -503,146 +697,143 @@ impl<D: BlockDevice> Pager<D> {
         }
     }
 
-    // --- rollback-journal protocol -------------------------------------------
-
-    fn journal_name(&self) -> String {
-        format!("{}-journal", self.name)
-    }
-
-    fn ensure_journal(&mut self) -> Result<Ino> {
-        if let Some(ino) = self.journal_ino {
-            return Ok(ino);
+    /// The journaled commit after the header write: a WAL appends the
+    /// dirty pages as frames ending in a commit frame; a rollback journal
+    /// forces the pages home and finalizes the journal.
+    fn commit_journaled(&mut self) -> Result<()> {
+        let Journal::Wal(wal) = &mut self.journal else {
+            self.force_journaled_home()?;
+            // Commit point: finalize the journal (delete / truncate / zero
+            // per the mode), durably, so a stale journal can never roll the
+            // transaction back after a crash.
+            return self.finalize_journal();
+        };
+        let mut dirty: Vec<PageNo> = self.dirty_in_tx.iter().copied().collect();
+        dirty.sort_unstable();
+        let last = dirty.len().saturating_sub(1);
+        for (i, &pgno) in dirty.iter().enumerate() {
+            let commit_size = if i == last { self.page_count } else { 0 };
+            let off = match self.cache.get_mut(&pgno) {
+                Some(f) => {
+                    f.dirty = false;
+                    wal.append(&mut self.file, pgno, &f.data, commit_size)?
+                }
+                None => {
+                    // A spilled page already has an (uncommitted) frame;
+                    // re-read it so the final, commit-flagged frame
+                    // sequence stays intact.
+                    let data = self.file.read_page(pgno, Some(wal), None)?;
+                    wal.append(&mut self.file, pgno, &data, commit_size)?
+                }
+            };
+            wal.index.insert(pgno, off);
         }
-        // DELETE mode creates the journal per transaction (Figure 1);
-        // TRUNCATE/PERSIST reuse the file left by the previous commit.
-        // Only a missing file falls through to create — a device failure
-        // must propagate, not silently spawn a fresh journal.
-        let name = self.journal_name();
-        let existing = self.fs.borrow().open(&name);
-        let ino = match existing {
-            Ok(ino) => ino,
-            Err(FsError::NotFound) => self.fs.borrow_mut().create(&name)?,
-            Err(e) => return Err(e.into()),
-        };
-        // Header placeholder (record count 0) fills the first page.
-        let hdr = self.encode_journal_header(0);
-        self.fs.borrow_mut().write(ino, 0, &hdr, None)?;
-        self.stats.journal_writes += 1;
-        self.journal_ino = Some(ino);
-        Ok(ino)
-    }
-
-    /// Finalizes the journal after a successful commit, rollback, or
-    /// recovery — the step whose durability is the rollback-journal commit
-    /// point. The strategy is the journal-mode knob: DELETE unlinks (plus
-    /// dirsync), TRUNCATE shrinks to zero, PERSIST zeroes the header.
-    fn finalize_journal(&mut self) -> Result<()> {
-        let Some(ino) = self.journal_ino.take() else {
-            return Ok(());
-        };
-        match self.mode {
-            DbJournalMode::RollbackTruncate => {
-                self.fs.borrow_mut().truncate(ino, 0)?;
-                self.fs.borrow_mut().sync_meta(None)?;
-                self.stats.dirsyncs += 1;
-            }
-            DbJournalMode::RollbackPersist => {
-                let zero = vec![0u8; self.page_size];
-                self.fs.borrow_mut().write(ino, 0, &zero, None)?;
-                self.stats.journal_writes += 1;
-                self.fs.borrow_mut().fsync(ino, None)?;
-                self.stats.fsyncs += 1;
-            }
-            _ => {
-                self.fs.borrow_mut().unlink(&self.journal_name())?;
-                self.fs.borrow_mut().sync_meta(None)?;
-                self.stats.dirsyncs += 1;
-            }
+        self.file.fs.borrow_mut().fsync(wal.ino, None)?;
+        self.file.stats.fsyncs += 1;
+        wal.last_commit_end = wal.end;
+        if wal.frames >= self.wal_autocheckpoint {
+            self.wal_checkpoint()?;
         }
         Ok(())
     }
 
-    fn encode_journal_header(&self, records: u32) -> Vec<u8> {
-        let mut hdr = vec![0u8; self.page_size];
-        hdr[0..8].copy_from_slice(&RJ_MAGIC.to_le_bytes());
-        hdr[8..12].copy_from_slice(&records.to_le_bytes());
-        hdr[12..16].copy_from_slice(&self.tx_orig_page_count.to_le_bytes());
-        for (i, pgno) in self.journaled.iter().take(records as usize).enumerate() {
-            let off = 16 + i * 4;
-            hdr[off..off + 4].copy_from_slice(&pgno.to_le_bytes());
-        }
-        // Master-journal name in the trailing 256 bytes of the header.
-        if let Some(m) = &self.master_name {
-            let tail = self.page_size - 256;
-            let bytes = m.as_bytes();
-            let len = bytes.len().min(250);
-            hdr[tail..tail + 2].copy_from_slice(&(len as u16).to_le_bytes());
-            hdr[tail + 2..tail + 2 + len].copy_from_slice(&bytes[..len]);
-        }
-        hdr
-    }
+    // --- rollback-journal protocol -------------------------------------------
 
-    fn decode_master_name(&self, hdr: &[u8]) -> Option<String> {
-        let tail = self.page_size - 256;
-        let len = usize::from(get_u16(hdr, tail));
-        if len == 0 || len > 250 {
-            return None;
-        }
-        Some(String::from_utf8_lossy(&hdr[tail + 2..tail + 2 + len]).into_owned())
-    }
-
-    /// Copies the pre-transaction image of `pgno` into the journal (done
-    /// once per page per transaction, *before* the page is modified).
+    /// Copies the pre-transaction image of `pgno` into the rollback
+    /// journal (once per page per transaction, *before* the page is
+    /// modified). A no-op outside a rollback-journal transaction.
     fn journal_original(&mut self, pgno: PageNo) -> Result<()> {
-        if self.journaled_set.contains(&pgno) || pgno >= self.tx_orig_page_count {
+        let Journal::Rollback(_, Some(tx)) = &mut self.journal else {
+            return Ok(());
+        };
+        if self.dirty_in_tx.contains(&pgno)
+            || tx.journaled_set.contains(&pgno)
+            || pgno >= self.tx_orig_page_count
+        {
             return Ok(()); // already saved, or the page is new in this tx
         }
         let original = match self.cache.get(&pgno) {
             Some(f) if !f.dirty => f.data.clone(),
-            Some(_) => unreachable!("page journaled after modification"),
-            None => self.read_page_raw(pgno)?,
+            // Uncached: a dirty frame is in `dirty_in_tx`, checked above.
+            _ => self.file.read_page(pgno, None, None)?,
         };
-        let ino = self.ensure_journal()?;
-        let slot = self.journaled.len() as u64;
-        let off = (1 + slot) * self.page_size as u64;
-        self.fs.borrow_mut().write(ino, off, &original, None)?;
-        self.stats.journal_writes += 1;
-        self.journaled.push(pgno);
-        self.journaled_set.insert(pgno);
+        let ino = match tx.ino {
+            Some(ino) => ino,
+            None => {
+                // DELETE mode creates the journal per transaction (Figure
+                // 1); TRUNCATE/PERSIST reuse the file left by the previous
+                // commit. Only a missing file falls through to create — a
+                // device failure must propagate, not silently spawn a
+                // fresh journal.
+                let name = self.file.journal_name();
+                let existing = self.file.fs.borrow().open(&name);
+                let ino = match existing {
+                    Ok(ino) => ino,
+                    Err(FsError::NotFound) => self.file.fs.borrow_mut().create(&name)?,
+                    Err(e) => return Err(e.into()),
+                };
+                // Header placeholder (record count 0) fills the first page.
+                let hdr = tx.header(self.file.page_size, self.tx_orig_page_count, 0);
+                self.file.fs.borrow_mut().write(ino, 0, &hdr, None)?;
+                self.file.stats.journal_writes += 1;
+                tx.ino = Some(ino);
+                ino
+            }
+        };
+        let off = (1 + tx.journaled.len() as u64) * self.file.page_size as u64;
+        self.file.fs.borrow_mut().write(ino, off, &original, None)?;
+        self.file.stats.journal_writes += 1;
+        tx.journaled.push(pgno);
+        tx.journaled_set.insert(pgno);
         Ok(())
     }
 
-    /// Syncs the journal so far (records + header). Needed before any
-    /// uncommitted page may spill to the DB file, and at commit.
+    /// Syncs the rollback journal so far (records + header), if one is
+    /// open. Needed before any uncommitted page may spill to the DB file,
+    /// and at commit.
     fn sync_journal(&mut self) -> Result<()> {
-        let Some(ino) = self.journal_ino else {
+        let Journal::Rollback(_, Some(tx)) = &mut self.journal else {
+            return Ok(());
+        };
+        let Some(ino) = tx.ino else {
             return Ok(());
         };
         // fsync #1: the record pages.
-        self.fs.borrow_mut().fsync(ino, None)?;
-        self.stats.fsyncs += 1;
+        self.file.fs.borrow_mut().fsync(ino, None)?;
+        self.file.stats.fsyncs += 1;
         // Header with the final record count, then fsync #2.
-        let hdr = self.encode_journal_header(self.journaled.len() as u32);
-        self.fs.borrow_mut().write(ino, 0, &hdr, None)?;
-        self.stats.journal_writes += 1;
-        self.fs.borrow_mut().fsync(ino, None)?;
-        self.stats.fsyncs += 1;
-        self.journal_synced_records = self.journaled.len() as u32;
+        let records = tx.journaled.len() as u32;
+        let hdr = tx.header(self.file.page_size, self.tx_orig_page_count, records);
+        self.file.fs.borrow_mut().write(ino, 0, &hdr, None)?;
+        self.file.stats.journal_writes += 1;
+        self.file.fs.borrow_mut().fsync(ino, None)?;
+        self.file.stats.fsyncs += 1;
+        tx.synced_records = records;
         Ok(())
     }
 
-    fn commit_rollback_mode(&mut self) -> Result<()> {
-        self.write_header()?;
+    /// The rollback-journal commit up to its commit point: syncs the
+    /// journal, then forces every dirty page to the database file.
+    fn force_journaled_home(&mut self) -> Result<()> {
         self.sync_journal()?;
-        // Force: write every dirty page to the database file.
         self.write_dirty_home(None)?;
-        self.fs.borrow_mut().fsync(self.db_ino, None)?;
-        self.stats.fsyncs += 1;
-        // Commit point: finalize the journal (delete / truncate / zero
-        // per the mode), durably, so a stale journal can never roll the
-        // transaction back after a crash.
-        self.finalize_journal()?;
-        Ok(())
+        self.file.sync()
+    }
+
+    /// Takes the open transaction's journal file, with how to finalize it.
+    fn take_journal_file(&mut self) -> Option<(Finalize, Ino)> {
+        match &mut self.journal {
+            Journal::Rollback(how, Some(tx)) => Some((*how, tx.ino.take()?)),
+            _ => None,
+        }
+    }
+
+    /// Finalizes the open transaction's journal, if it has one.
+    fn finalize_journal(&mut self) -> Result<()> {
+        match self.take_journal_file() {
+            Some((how, ino)) => self.file.finalize_journal(how, ino),
+            None => Ok(()),
+        }
     }
 
     /// Force-writes the transaction's cached dirty pages to the database
@@ -656,128 +847,107 @@ impl<D: BlockDevice> Pager<D> {
                 continue;
             };
             frame.dirty = false;
-            self.fs.borrow_mut().write(
-                self.db_ino,
-                pgno as u64 * self.page_size as u64,
-                &frame.data,
-                tid,
-            )?;
-            self.stats.db_writes += 1;
+            self.file.write_page(pgno, &frame.data, tid)?;
         }
         Ok(())
     }
 
-    fn rollback_journal_mode(&mut self) -> Result<()> {
-        // Undo spilled pages from the journal, drop cached changes.
-        self.drop_dirty_cache();
-        if let Some(ino) = self.journal_ino {
-            // Only records already synced could have mattered; restoring
-            // all journaled originals is always safe.
-            let records = self.journaled.clone();
-            for (i, pgno) in records.iter().enumerate() {
-                let mut buf = vec![0u8; self.page_size];
-                let off = (1 + i as u64) * self.page_size as u64;
-                self.fs.borrow_mut().read(ino, off, &mut buf, None)?;
-                self.fs.borrow_mut().write(
-                    self.db_ino,
-                    *pgno as u64 * self.page_size as u64,
-                    &buf,
-                    None,
-                )?;
-                self.stats.db_writes += 1;
-            }
-            self.fs.borrow_mut().fsync(self.db_ino, None)?;
-            self.stats.fsyncs += 1;
-            self.journal_ino = Some(ino);
-            self.finalize_journal()?;
+    /// Undoes spilled pages from the rollback journal, if one is open.
+    fn undo_from_journal(&mut self) -> Result<()> {
+        let Journal::Rollback(
+            _,
+            Some(RollbackTx {
+                ino: Some(ino),
+                journaled,
+                ..
+            }),
+        ) = &self.journal
+        else {
+            return Ok(());
+        };
+        // Only records already synced could have mattered; restoring all
+        // journaled originals is always safe.
+        for (i, &pgno) in journaled.iter().enumerate() {
+            let mut buf = vec![0u8; self.file.page_size];
+            let off = (1 + i as u64) * self.file.page_size as u64;
+            self.file.fs.borrow_mut().read(*ino, off, &mut buf, None)?;
+            self.file.write_page(pgno, &buf, None)?;
         }
-        Ok(())
+        self.file.sync()?;
+        self.finalize_journal()
     }
 
     /// Open-time hot-journal recovery (§6.4: copy originals back, delete
     /// the journal).
-    fn recover_hot_journal(&mut self) -> Result<()> {
-        let jname = self.journal_name();
-        let Ok(ino) = self.fs.borrow().open(&jname) else {
+    fn recover_hot_journal(&mut self, how: Finalize) -> Result<()> {
+        let jname = self.file.journal_name();
+        let Ok(ino) = self.file.fs.borrow().open(&jname) else {
             return Ok(());
         };
-        let mut hdr = vec![0u8; self.page_size];
-        let n = self.fs.borrow_mut().read(ino, 0, &mut hdr, None)?;
-        let valid = n == self.page_size && get_u64(&hdr, 0) == RJ_MAGIC;
+        let mut hdr = vec![0u8; self.file.page_size];
+        let n = self.file.fs.borrow_mut().read(ino, 0, &mut hdr, None)?;
+        let valid = n == self.file.page_size && get_u64(&hdr, 0) == RJ_MAGIC;
         if valid {
             // A journal naming a master is hot only while the master file
             // exists; a missing master means the group transaction already
             // committed (the master's deletion is the group commit point).
-            if let Some(master) = self.decode_master_name(&hdr) {
-                if !self.fs.borrow().exists(&master) {
-                    self.fs.borrow_mut().unlink(&jname)?;
-                    self.fs.borrow_mut().sync_meta(None)?;
-                    self.stats.dirsyncs += 1;
-                    return Ok(());
+            if let Some(master) = decode_master_name(&hdr) {
+                if !self.file.fs.borrow().exists(&master) {
+                    return self.file.finalize_journal(Finalize::Delete, ino);
                 }
             }
             let records = get_u32(&hdr, 8);
             for i in 0..records {
-                let off = 16 + (i as usize) * 4;
-                let pgno = get_u32(&hdr, off);
-                let mut buf = vec![0u8; self.page_size];
-                let foff = (1 + i as u64) * self.page_size as u64;
-                self.fs.borrow_mut().read(ino, foff, &mut buf, None)?;
-                self.fs.borrow_mut().write(
-                    self.db_ino,
-                    pgno as u64 * self.page_size as u64,
-                    &buf,
-                    None,
-                )?;
-                self.stats.db_writes += 1;
+                let pgno = get_u32(&hdr, 16 + (i as usize) * 4);
+                let mut buf = vec![0u8; self.file.page_size];
+                let foff = (1 + i as u64) * self.file.page_size as u64;
+                self.file.fs.borrow_mut().read(ino, foff, &mut buf, None)?;
+                self.file.write_page(pgno, &buf, None)?;
             }
             if records > 0 {
-                self.fs.borrow_mut().fsync(self.db_ino, None)?;
-                self.stats.fsyncs += 1;
+                self.file.sync()?;
             }
         }
-        self.journal_ino = Some(ino);
-        self.finalize_journal()?;
-        Ok(())
+        self.file.finalize_journal(how, ino)
     }
 
     // --- WAL protocol ---------------------------------------------------------
 
-    fn wal_name(&self) -> String {
-        format!("{}-wal", self.name)
-    }
-
     /// Opens (or creates) the WAL and rebuilds the in-RAM index from the
     /// committed frames (§6.4's WAL recovery path when the file is found
     /// after a crash).
-    fn wal_open(&mut self) -> Result<()> {
-        let wname = self.wal_name();
-        let exists = self.fs.borrow().exists(&wname);
+    fn wal_open(&mut self) -> Result<Wal> {
+        let fs = &self.file.fs;
+        let wname = format!("{}-wal", self.file.name);
+        let exists = fs.borrow().exists(&wname);
         let ino = if exists {
-            self.fs.borrow().open(&wname)?
+            fs.borrow().open(&wname)?
         } else {
-            let ino = self.fs.borrow_mut().create(&wname)?;
+            let ino = fs.borrow_mut().create(&wname)?;
             let mut hdr = vec![0u8; WAL_FRAME_HDR as usize];
             hdr[0..8].copy_from_slice(&WAL_MAGIC.to_le_bytes());
-            self.fs.borrow_mut().write(ino, 0, &hdr, None)?;
+            fs.borrow_mut().write(ino, 0, &hdr, None)?;
             ino
         };
-        self.wal_ino = Some(ino);
-        self.wal_index.clear();
-        self.wal_frames = 0;
-        self.wal_end = WAL_FRAME_HDR;
-        self.wal_last_commit_end = WAL_FRAME_HDR;
+        let mut wal = Wal {
+            ino,
+            index: HashMap::new(),
+            end: WAL_FRAME_HDR,
+            frames: 0,
+            last_commit_end: WAL_FRAME_HDR,
+            tx_frames: None,
+        };
         if !exists {
-            return Ok(());
+            return Ok(wal);
         }
         // Scan committed frames.
-        let size = self.fs.borrow().size(ino)?;
-        let frame_len = WAL_FRAME_HDR + self.page_size as u64;
+        let size = fs.borrow().size(ino)?;
+        let frame_len = WAL_FRAME_HDR + self.file.page_size as u64;
         let mut off = WAL_FRAME_HDR;
         let mut pending: Vec<(PageNo, u64)> = Vec::new();
         while off + frame_len <= size {
             let mut fh = vec![0u8; WAL_FRAME_HDR as usize];
-            self.fs.borrow_mut().read(ino, off, &mut fh, None)?;
+            fs.borrow_mut().read(ino, off, &mut fh, None)?;
             let pgno = get_u32(&fh, 0);
             let commit_size = get_u32(&fh, 4);
             let magic_ok = get_u64(&fh, 8) == WAL_MAGIC;
@@ -785,130 +955,82 @@ impl<D: BlockDevice> Pager<D> {
                 break;
             }
             pending.push((pgno, off + WAL_FRAME_HDR));
-            self.wal_frames += 1;
+            wal.frames += 1;
             off += frame_len;
             if commit_size != 0 {
                 // Commit frame: everything pending becomes visible.
                 for (p, o) in pending.drain(..) {
-                    self.wal_index.insert(p, o);
+                    wal.index.insert(p, o);
                 }
                 self.page_count = self.page_count.max(commit_size);
-                self.wal_end = off;
-                self.wal_last_commit_end = off;
+                wal.end = off;
+                wal.last_commit_end = off;
             }
         }
-        Ok(())
-    }
-
-    /// Appends one frame; returns the payload offset.
-    fn wal_append_frame(&mut self, pgno: PageNo, data: &[u8], commit_size: u32) -> Result<u64> {
-        let Some(ino) = self.wal_ino else {
-            unreachable!("WAL open in Wal mode")
-        };
-        let mut frame = Vec::with_capacity(WAL_FRAME_HDR as usize + data.len());
-        let mut fh = vec![0u8; WAL_FRAME_HDR as usize];
-        fh[0..4].copy_from_slice(&pgno.to_le_bytes());
-        fh[4..8].copy_from_slice(&commit_size.to_le_bytes());
-        fh[8..16].copy_from_slice(&WAL_MAGIC.to_le_bytes());
-        frame.extend_from_slice(&fh);
-        frame.extend_from_slice(data);
-        let off = self.wal_end;
-        self.fs.borrow_mut().write(ino, off, &frame, None)?;
-        // Page-equivalents: a frame is a bit more than one page.
-        self.stats.journal_writes += 1;
-        self.wal_end = off + frame.len() as u64;
-        self.wal_frames += 1;
-        Ok(off + WAL_FRAME_HDR)
-    }
-
-    fn commit_wal_mode(&mut self) -> Result<()> {
-        self.write_header()?;
-        let mut dirty: Vec<PageNo> = self.dirty_in_tx.iter().copied().collect();
-        dirty.sort_unstable();
-        let last = dirty.len().saturating_sub(1);
-        for (i, pgno) in dirty.iter().enumerate() {
-            // A spilled page already has an (uncommitted) frame; re-read it
-            // so the final, commit-flagged frame sequence stays intact. A
-            // cached page lends its buffer to the append and gets it back.
-            let (data, cached) = match self.cache.get_mut(pgno) {
-                Some(f) => {
-                    f.dirty = false;
-                    (std::mem::take(&mut f.data), true)
-                }
-                None => (self.read_page_raw(*pgno)?, false),
-            };
-            let commit_size = if i == last { self.page_count } else { 0 };
-            let res = self.wal_append_frame(*pgno, &data, commit_size);
-            if let (true, Some(f)) = (cached, self.cache.get_mut(pgno)) {
-                f.data = data;
-            }
-            self.wal_index.insert(*pgno, res?);
-        }
-        let Some(ino) = self.wal_ino else {
-            unreachable!("WAL open")
-        };
-        self.fs.borrow_mut().fsync(ino, None)?;
-        self.stats.fsyncs += 1;
-        self.wal_last_commit_end = self.wal_end;
-        if self.wal_frames >= self.wal_autocheckpoint {
-            self.wal_checkpoint()?;
-        }
-        Ok(())
+        Ok(wal)
     }
 
     /// Copies the newest version of every WAL-resident page into the
-    /// database file and resets the log (SQLite's checkpoint).
+    /// database file and resets the log (SQLite's checkpoint). A no-op in
+    /// the other journal modes.
     pub fn wal_checkpoint(&mut self) -> Result<()> {
-        if self.wal_index.is_empty() {
+        let Journal::Wal(wal) = &mut self.journal else {
+            return Ok(());
+        };
+        if wal.index.is_empty() {
             return Ok(());
         }
-        self.stats.checkpoints += 1;
-        let mut entries: Vec<(PageNo, u64)> =
-            self.wal_index.iter().map(|(&p, &o)| (p, o)).collect();
+        self.file.stats.checkpoints += 1;
+        let mut entries: Vec<(PageNo, u64)> = wal.index.iter().map(|(&p, &o)| (p, o)).collect();
         entries.sort_unstable();
-        let Some(ino) = self.wal_ino else {
-            unreachable!("WAL open")
-        };
         for (pgno, off) in entries {
-            let mut buf = vec![0u8; self.page_size];
-            self.fs.borrow_mut().read(ino, off, &mut buf, None)?;
-            self.fs.borrow_mut().write(
-                self.db_ino,
-                pgno as u64 * self.page_size as u64,
-                &buf,
-                None,
-            )?;
-            self.stats.db_writes += 1;
+            let mut buf = vec![0u8; self.file.page_size];
+            self.file
+                .fs
+                .borrow_mut()
+                .read(wal.ino, off, &mut buf, None)?;
+            self.file.write_page(pgno, &buf, None)?;
         }
-        self.fs.borrow_mut().fsync(self.db_ino, None)?;
-        self.stats.fsyncs += 1;
-        self.fs.borrow_mut().truncate(ino, WAL_FRAME_HDR)?;
-        self.wal_index.clear();
-        self.wal_frames = 0;
-        self.wal_end = WAL_FRAME_HDR;
-        self.wal_last_commit_end = WAL_FRAME_HDR;
+        self.file.sync()?;
+        self.file.fs.borrow_mut().truncate(wal.ino, WAL_FRAME_HDR)?;
+        wal.index.clear();
+        wal.frames = 0;
+        wal.end = WAL_FRAME_HDR;
+        wal.last_commit_end = WAL_FRAME_HDR;
         Ok(())
     }
 
     // --- Off (X-FTL) protocol ---------------------------------------------------
 
-    fn commit_off_mode(&mut self) -> Result<()> {
-        // A concurrent transaction skips the header force-write when
-        // nothing in it changed: otherwise every pair of writers would
-        // collide on page 0 and first-committer-wins would serialize them
-        // all. (Real `BEGIN CONCURRENT` has the same page-1 hotspot.)
-        let header = (self.page_count, self.freelist_head, self.schema_root);
-        if !self.concurrent || header != self.tx_orig_header {
+    /// The open `Off`-mode transaction.
+    fn off_tx(&self) -> Result<OffTx> {
+        match self.journal {
+            Journal::Off(Some(tx)) => Ok(tx),
+            _ => Err(DbError::TxState("no Off-mode transaction active")),
+        }
+    }
+
+    /// The `Off`-mode commit shared by the blocking, split-phase and
+    /// deferred (multi-file) commits: force-writes the header and the
+    /// dirty pages under the transaction's tid, then `sync` hands the file
+    /// to the file system — `fsync(tid)`, `fsync_submit` or
+    /// `fsync_defer_commit`.
+    fn force_write_off<T>(
+        &mut self,
+        sync: impl FnOnce(&mut FileSystem<D>, Ino, Tid) -> xftl_fs::Result<T>,
+    ) -> Result<T> {
+        let tx = self.off_tx()?;
+        // A snapshot transaction skips the header force-write when nothing
+        // in it changed: otherwise every pair of writers would collide on
+        // page 0 and first-committer-wins would serialize them all. (Real
+        // `BEGIN CONCURRENT` has the same page-1 hotspot.)
+        if tx.snapshot != Some(self.header_fields()) {
             self.write_header()?;
         }
-        let Some(tid) = self.tid else {
-            unreachable!("Off-mode tx has a tid")
-        };
-        self.write_dirty_home(Some(tid))?;
-        // Single fsync: force-write plus device commit (§4.3).
-        self.fs.borrow_mut().fsync(self.db_ino, Some(tid))?;
-        self.stats.fsyncs += 1;
-        Ok(())
+        self.write_dirty_home(Some(tx.tid))?;
+        let out = sync(&mut self.file.fs.borrow_mut(), self.file.ino, tx.tid)?;
+        self.file.stats.fsyncs += 1;
+        Ok(out)
     }
 
     /// Split-phase commit. In `Off` mode the force-write ends with a
@@ -920,41 +1042,12 @@ impl<D: BlockDevice> Pager<D> {
     /// pipeline). Journal modes have no split phase — they commit blocking
     /// here and hand back an already-durable ticket.
     pub fn commit_submit(&mut self) -> Result<CommitTicket> {
-        if self.mode != DbJournalMode::Off {
+        if !matches!(self.journal, Journal::Off(_)) {
             self.commit()?;
             return Ok(CommitTicket::immediate(0));
         }
-        if !self.in_tx {
-            return Err(DbError::TxState("no transaction active"));
-        }
-        if self.dirty_in_tx.is_empty() {
-            if self.concurrent {
-                if let Some(tid) = self.tid {
-                    self.fs.borrow_mut().abort_tx(tid)?;
-                }
-            }
-            self.end_tx();
-            return Ok(CommitTicket::immediate(0));
-        }
-        let t0 = self.span_start();
-        let header = (self.page_count, self.freelist_head, self.schema_root);
-        if !self.concurrent || header != self.tx_orig_header {
-            self.write_header()?;
-        }
-        let Some(tid) = self.tid else {
-            unreachable!("Off-mode tx has a tid")
-        };
-        let res = self
-            .write_dirty_home(Some(tid))
-            .and_then(|()| Ok(self.fs.borrow_mut().fsync_submit(self.db_ino, tid)?));
-        let ticket = match res {
-            Ok(t) => t,
-            Err(e) => return Err(self.unwind_conflict(e)?),
-        };
-        self.stats.fsyncs += 1;
-        self.record_span(OpClass::PagerFlush, tid, 0, t0);
-        self.end_tx();
-        Ok(ticket)
+        let ticket = self.run_commit(|pager| pager.force_write_off(FileSystem::fsync_submit))?;
+        Ok(ticket.unwrap_or(CommitTicket::immediate(0)))
     }
 
     /// Blocks until the commit named by `ticket` is durable. Tickets from
@@ -964,7 +1057,7 @@ impl<D: BlockDevice> Pager<D> {
         if ticket.is_immediate() {
             return Ok(());
         }
-        self.fs.borrow_mut().fsync_wait(ticket)?;
+        self.file.fs.borrow_mut().fsync_wait(ticket)?;
         Ok(())
     }
 
@@ -972,32 +1065,40 @@ impl<D: BlockDevice> Pager<D> {
 
     /// Name of this database's rollback journal file.
     pub fn journal_file_name(&self) -> String {
-        self.journal_name()
+        self.file.journal_name()
     }
 
     /// Journal mode of this pager.
     pub fn mode(&self) -> DbJournalMode {
-        self.mode
+        match self.journal {
+            Journal::Rollback(Finalize::Delete, _) => DbJournalMode::Rollback,
+            Journal::Rollback(Finalize::Truncate, _) => DbJournalMode::RollbackTruncate,
+            Journal::Rollback(Finalize::Persist, _) => DbJournalMode::RollbackPersist,
+            Journal::Wal(_) => DbJournalMode::Wal,
+            Journal::Off(_) => DbJournalMode::Off,
+        }
     }
 
     /// The device transaction id of the open transaction (Off mode).
     pub fn current_tid(&self) -> Option<Tid> {
-        self.tid
+        self.off_tx().ok().map(|tx| tx.tid)
     }
 
     /// Begins a transaction that shares `tid` with other databases on the
     /// same file system (`Off` mode only): all of their updates commit
     /// atomically with one device `commit(tid)`.
     pub fn begin_with_tid(&mut self, tid: Tid) -> Result<()> {
-        if self.mode != DbJournalMode::Off {
+        let Journal::Off(tx) = &mut self.journal else {
             return Err(DbError::TxState("shared-tid transactions need Off mode"));
-        }
-        if self.in_tx {
+        };
+        if tx.is_some() {
             return Err(DbError::TxState("transaction already active"));
         }
-        self.in_tx = true;
+        *tx = Some(OffTx {
+            tid,
+            snapshot: None,
+        });
         self.tx_orig_page_count = self.page_count;
-        self.tid = Some(tid);
         Ok(())
     }
 
@@ -1005,16 +1106,10 @@ impl<D: BlockDevice> Pager<D> {
     /// the shared tid without the device commit (the coordinator issues it
     /// once for the whole group).
     pub fn commit_off_deferred(&mut self) -> Result<()> {
-        if !self.in_tx {
+        if !self.in_tx() {
             return Err(DbError::TxState("no transaction active"));
         }
-        let Some(tid) = self.tid else {
-            unreachable!("Off-mode tx has a tid")
-        };
-        self.write_header()?;
-        self.write_dirty_home(Some(tid))?;
-        self.fs.borrow_mut().fsync_defer_commit(self.db_ino, tid)?;
-        self.stats.fsyncs += 1;
+        self.force_write_off(FileSystem::fsync_defer_commit)?;
         self.end_tx();
         Ok(())
     }
@@ -1024,33 +1119,23 @@ impl<D: BlockDevice> Pager<D> {
     /// and force-writes the database pages — but keeps the journal, so the
     /// transaction stays revocable until the master is deleted.
     pub fn master_commit_prepare(&mut self, master: &str) -> Result<()> {
-        if !self.mode.is_rollback() {
-            return Err(DbError::TxState("master journals need rollback mode"));
+        match &mut self.journal {
+            Journal::Rollback(_, Some(tx)) => tx.master_name = Some(master.to_string()),
+            Journal::Rollback(_, None) => return Err(DbError::TxState("no transaction active")),
+            _ => return Err(DbError::TxState("master journals need rollback mode")),
         }
-        if !self.in_tx {
-            return Err(DbError::TxState("no transaction active"));
-        }
+        // The header write journals page 0, so every participant has a
+        // journal to name the master in.
         self.write_header()?;
-        if self.dirty_in_tx.is_empty() && self.journal_ino.is_none() {
-            return Ok(()); // read-only participant
-        }
-        self.ensure_journal()?;
-        self.master_name = Some(master.to_string());
-        self.sync_journal()?;
-        self.write_dirty_home(None)?;
-        self.fs.borrow_mut().fsync(self.db_ino, None)?;
-        self.stats.fsyncs += 1;
-        Ok(())
+        self.force_journaled_home()
     }
 
     /// Multi-file commit, rollback mode, phase 2 (after the master journal
     /// has been deleted): removes this database's journal and ends the
     /// transaction.
     pub fn master_commit_cleanup(&mut self) -> Result<()> {
-        if let Some(_ino) = self.journal_ino.take() {
-            self.fs.borrow_mut().unlink(&self.journal_name())?;
-            self.fs.borrow_mut().sync_meta(None)?;
-            self.stats.dirsyncs += 1;
+        if let Some((_, ino)) = self.take_journal_file() {
+            self.file.finalize_journal(Finalize::Delete, ino)?;
         }
         self.end_tx();
         Ok(())
@@ -1063,32 +1148,17 @@ impl<D: BlockDevice> Pager<D> {
         self.tick
     }
 
-    /// Reads a page bypassing the pager cache (recovery paths).
+    /// Reads a page bypassing the pager cache (recovery paths): the open
+    /// WAL's newest frame, else the database file under the `Off`-mode
+    /// tid.
     fn read_page_raw(&mut self, pgno: PageNo) -> Result<Vec<u8>> {
-        let mut buf = vec![0u8; self.page_size];
-        self.stats.reads += 1;
-        let t0 = self.span_start();
-        if self.mode == DbJournalMode::Wal {
-            if let Some(&off) = self.wal_index.get(&pgno) {
-                let Some(ino) = self.wal_ino else {
-                    unreachable!("WAL open")
-                };
-                self.fs.borrow_mut().read(ino, off, &mut buf, None)?;
-                self.record_span(OpClass::PagerFetch, 0, u64::from(pgno), t0);
-                return Ok(buf);
-            }
-        }
-        let tid = self.tid;
-        self.fs.borrow_mut().read(
-            self.db_ino,
-            pgno as u64 * self.page_size as u64,
-            &mut buf,
-            tid,
-        )?;
-        self.record_span(OpClass::PagerFetch, tid.unwrap_or(0), u64::from(pgno), t0);
-        Ok(buf)
+        let (wal, tid) = match &self.journal {
+            Journal::Wal(wal) => (Some(wal), None),
+            Journal::Off(tx) => (None, tx.map(|tx| tx.tid)),
+            Journal::Rollback(..) => (None, None),
+        };
+        self.file.read_page(pgno, wal, tid)
     }
-
     /// Runs `f` on page `pgno` where it sits in the cache, fetching it on
     /// a miss. Counts as one access for LRU order.
     pub fn with_page<R>(&mut self, pgno: PageNo, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
@@ -1119,12 +1189,10 @@ impl<D: BlockDevice> Pager<D> {
     /// cache since, its image comes from the eviction stash of
     /// [`Pager::retaining_evicted`], or failing that from storage.
     pub fn with_page_mut<R>(&mut self, pgno: PageNo, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
-        if !self.in_tx {
+        if !self.in_tx() {
             return Err(DbError::TxState("page write outside a transaction"));
         }
-        if self.mode.is_rollback() && !self.dirty_in_tx.contains(&pgno) {
-            self.journal_original(pgno)?;
-        }
+        self.journal_original(pgno)?;
         let image = if self.cache.contains_key(&pgno) {
             None
         } else {
@@ -1185,16 +1253,16 @@ impl<D: BlockDevice> Pager<D> {
         out
     }
 
-    /// Writes page `pgno` whole (transaction required). In rollback mode
-    /// the original is journaled first.
+    /// Writes page `pgno` whole (transaction required; `data` must be one
+    /// page long). In rollback mode the original is journaled first.
     pub fn put(&mut self, pgno: PageNo, data: Vec<u8>) -> Result<()> {
-        assert_eq!(data.len(), self.page_size, "whole pages only");
-        if !self.in_tx {
+        if data.len() != self.file.page_size {
+            return Err(DbError::Corrupt("page image is not one page long"));
+        }
+        if !self.in_tx() {
             return Err(DbError::TxState("page write outside a transaction"));
         }
-        if self.mode.is_rollback() && !self.dirty_in_tx.contains(&pgno) {
-            self.journal_original(pgno)?;
-        }
+        self.journal_original(pgno)?;
         let tick = self.touch();
         self.cache.insert(
             pgno,
@@ -1221,13 +1289,13 @@ impl<D: BlockDevice> Pager<D> {
         self.page_count += 1;
         self.write_header()?;
         // Materialize the new page so reads within the tx see zeros.
-        self.put(pgno, vec![0u8; self.page_size])?;
+        self.put(pgno, vec![0u8; self.file.page_size])?;
         Ok(pgno)
     }
 
     /// Returns a page to the freelist.
     pub fn free_page(&mut self, pgno: PageNo) -> Result<()> {
-        let mut page = vec![0u8; self.page_size];
+        let mut page = vec![0u8; self.file.page_size];
         page[0..4].copy_from_slice(&self.freelist_head.to_le_bytes());
         self.put(pgno, page)?;
         self.freelist_head = pgno;
@@ -1241,22 +1309,14 @@ impl<D: BlockDevice> Pager<D> {
 
     fn evict_if_needed(&mut self) -> Result<()> {
         while self.cache.len() > self.cache_cap {
-            // Prefer clean victims.
+            // Prefer clean victims, then the least recently used.
             let victim = self
                 .cache
                 .iter()
-                .filter(|(_, f)| !f.dirty)
-                .min_by_key(|(_, f)| f.tick)
-                .map(|(&p, _)| p)
-                .or_else(|| {
-                    self.cache
-                        .iter()
-                        .min_by_key(|(_, f)| f.tick)
-                        .map(|(&p, _)| p)
-                });
-            let Some(pgno) = victim else { break };
-            let Some(frame) = self.cache.remove(&pgno) else {
-                unreachable!("victim exists")
+                .min_by_key(|(_, f)| (f.dirty, f.tick))
+                .map(|(&p, _)| p);
+            let Some((pgno, frame)) = victim.and_then(|p| self.cache.remove_entry(&p)) else {
+                break;
             };
             if frame.dirty {
                 self.spill(pgno, &frame.data)?;
@@ -1270,38 +1330,29 @@ impl<D: BlockDevice> Pager<D> {
 
     /// Steal: writes an uncommitted page out of the cache early.
     fn spill(&mut self, pgno: PageNo, data: &[u8]) -> Result<()> {
-        self.stats.spills += 1;
-        match self.mode {
-            m if m.is_rollback() => {
+        self.file.stats.spills += 1;
+        match &mut self.journal {
+            Journal::Rollback(_, tx) => {
                 // The original must be durably journaled before the DB
                 // file may be overwritten.
-                if (self.journal_synced_records as usize) < self.journaled.len() {
+                if tx
+                    .as_ref()
+                    .is_some_and(|tx| (tx.synced_records as usize) < tx.journaled.len())
+                {
                     self.sync_journal()?;
                 }
-                self.fs.borrow_mut().write(
-                    self.db_ino,
-                    pgno as u64 * self.page_size as u64,
-                    data,
-                    None,
-                )?;
-                self.stats.db_writes += 1;
+                self.file.write_page(pgno, data, None)?;
             }
-            DbJournalMode::Wal => {
-                let off = self.wal_append_frame(pgno, data, 0)?;
-                let prev = self.wal_index.insert(pgno, off);
-                self.tx_frames.push((pgno, prev));
+            Journal::Wal(wal) => {
+                let off = wal.append(&mut self.file, pgno, data, 0)?;
+                let prev = wal.index.insert(pgno, off);
+                if let Some(frames) = wal.tx_frames.as_mut() {
+                    frames.push((pgno, prev));
+                }
             }
-            _ => {
-                let Some(tid) = self.tid else {
-                    unreachable!("Off-mode tx has a tid")
-                };
-                self.fs.borrow_mut().write(
-                    self.db_ino,
-                    pgno as u64 * self.page_size as u64,
-                    data,
-                    Some(tid),
-                )?;
-                self.stats.db_writes += 1;
+            Journal::Off(tx) => {
+                let tid = tx.map(|tx| tx.tid);
+                self.file.write_page(pgno, data, tid)?;
             }
         }
         Ok(())

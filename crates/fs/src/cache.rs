@@ -76,6 +76,40 @@ impl PageCache {
         Some(p)
     }
 
+    /// True if page `lpn` is cached (recency untouched).
+    pub fn contains(&self, lpn: Lpn) -> bool {
+        self.pages.contains_key(&lpn)
+    }
+
+    /// Page `lpn`, refreshing its recency; a miss caches `data` as a clean
+    /// page of `ino`.
+    pub fn get_or_insert(&mut self, lpn: Lpn, ino: Ino, data: Vec<u8>) -> &mut CachedPage {
+        let tick = self.tick();
+        let p = self.pages.entry(lpn).or_insert_with(|| CachedPage {
+            data,
+            dirty: false,
+            ino,
+            tid: None,
+            tick,
+        });
+        p.tick = tick;
+        p
+    }
+
+    /// Write-back of the cached pages among `lpns`: each is marked clean
+    /// and belonging to no transaction, its recency refreshed in `lpns`
+    /// order, and its image returned.
+    pub fn take_dirty(&mut self, lpns: &[Lpn]) -> Vec<(Lpn, Vec<u8>)> {
+        lpns.iter()
+            .filter_map(|&lpn| {
+                let p = self.get_mut(lpn)?;
+                p.dirty = false;
+                p.tid = None;
+                Some((lpn, p.data.clone()))
+            })
+            .collect()
+    }
+
     /// Inserts or replaces a page.
     pub fn insert(&mut self, lpn: Lpn, ino: Ino, data: Vec<u8>, dirty: bool, tid: Option<Tid>) {
         let tick = self.tick();

@@ -33,6 +33,7 @@
 //! As in SQLite (which holds a database-level write lock), the aborting
 //! transaction is assumed to be the volume's only in-flight mutator.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -41,7 +42,7 @@ use xftl_ftl::{BlockDevice, CmdId, CommitTicket, IoCmd, Lpn, Tid, TxBlockDevice}
 use xftl_trace::{OpClass, Recorder, Telemetry};
 
 use crate::alloc::BlockBitmap;
-use crate::cache::PageCache;
+use crate::cache::{CachedPage, PageCache};
 use crate::error::{FsError, Result};
 use crate::journal::Journal;
 use crate::layout::{Ino, Inode, InodeKind, Superblock, NDIRECT};
@@ -549,18 +550,10 @@ impl<D: BlockDevice> FileSystem<D> {
             let take = rest.len().min(ps as usize - in_page);
             let lpn = self.ensure_block(ino, idx)?;
             let full_overwrite = in_page == 0 && take == ps as usize;
-            if self.cache.get(lpn).is_none() {
-                let mut page = vec![0u8; ps as usize];
-                // Only fetch old content when partially overwriting a page
-                // that may hold data.
-                if !full_overwrite && self.block_may_have_data(ino, idx) {
-                    self.read_dev_page(lpn, &mut page, tid)?;
-                }
-                self.cache.insert(lpn, ino, page, false, None);
-            }
-            let Some(p) = self.cache.get_mut(lpn) else {
-                unreachable!("just inserted")
-            };
+            // Only fetch old content when partially overwriting a page
+            // that may hold data.
+            let fetch = !full_overwrite && self.block_may_have_data(ino, idx);
+            let p = self.page_for_write(ino, lpn, fetch, tid)?;
             p.data[in_page..in_page + take].copy_from_slice(&rest[..take]);
             p.dirty = true;
             if tid.is_some() {
@@ -719,14 +712,7 @@ impl<D: BlockDevice> FileSystem<D> {
         if new_size < old_size && !new_size.is_multiple_of(ps) {
             if let Some(lpn) = self.block_of(ino, new_size / ps)? {
                 let cut = (new_size % ps) as usize;
-                if self.cache.get(lpn).is_none() {
-                    let mut page = vec![0u8; ps as usize];
-                    self.read_dev_page(lpn, &mut page, None)?;
-                    self.cache.insert(lpn, ino, page, false, None);
-                }
-                let Some(p) = self.cache.get_mut(lpn) else {
-                    unreachable!("just inserted")
-                };
+                let p = self.page_for_write(ino, lpn, true, None)?;
                 p.data[cut..].fill(0);
                 p.dirty = true;
             }
@@ -743,34 +729,35 @@ impl<D: BlockDevice> FileSystem<D> {
             }
         }
         // Free mapped blocks and, at size 0, the map chain itself.
-        self.load_map(ino)?;
-        if let Some(map) = self.maps.get_mut(&ino) {
-            let cut = keep_blocks.saturating_sub(NDIRECT as u64) as usize;
-            let mut freed = Vec::new();
-            for i in cut..map.entries.len() {
-                if map.entries[i] != 0 {
-                    let lpn = map.entries[i];
-                    self.bitmap.clear(lpn);
-                    self.cache.remove(lpn);
-                    freed.push(lpn);
-                    map.entries[i] = 0;
-                    let epp = map_entries_per_page(self.sb.page_size as usize);
-                    map.dirty[i / epp] = true;
-                }
+        let epp = map_entries_per_page(self.sb.page_size as usize);
+        let map = self.load_map(ino)?;
+        let cut = keep_blocks.saturating_sub(NDIRECT as u64) as usize;
+        let mut freed = Vec::new();
+        for i in cut..map.entries.len() {
+            if map.entries[i] != 0 {
+                freed.push(map.entries[i]);
+                map.entries[i] = 0;
+                map.dirty[i / epp] = true;
             }
-            if new_size == 0 {
-                for lpn in std::mem::take(&mut map.pages) {
-                    self.bitmap.clear(lpn);
-                    freed.push(lpn);
-                }
-                map.entries.clear();
-                map.dirty.clear();
-                self.inodes[ino as usize].map_root = 0;
-                self.maps.remove(&ino);
-            }
-            for lpn in freed {
-                self.note_freed(lpn);
-            }
+        }
+        let chain = if new_size == 0 {
+            std::mem::take(&mut map.pages)
+        } else {
+            Vec::new()
+        };
+        for &lpn in &freed {
+            self.bitmap.clear(lpn);
+            self.cache.remove(lpn);
+        }
+        for &lpn in &chain {
+            self.bitmap.clear(lpn);
+        }
+        if new_size == 0 {
+            self.inodes[ino as usize].map_root = 0;
+            self.maps.remove(&ino);
+        }
+        for lpn in freed.into_iter().chain(chain) {
+            self.note_freed(lpn);
         }
         let inode = &mut self.inodes[ino as usize];
         inode.size = new_size.min(inode.size);
@@ -811,7 +798,10 @@ impl<D: BlockDevice> FileSystem<D> {
     pub fn fsync(&mut self, ino: Ino, tid: Option<Tid>) -> Result<()> {
         if let Some(t) = tid {
             if self.snapshot_tids.contains(&t) {
-                return self.fsync_snapshot(t);
+                let ops = self.tx_ops()?;
+                self.commit_snapshot(ops, t, ops.commit)?;
+                self.stats.barriers += 1;
+                return Ok(());
             }
         }
         self.stats.fsyncs += 1;
@@ -824,31 +814,30 @@ impl<D: BlockDevice> FileSystem<D> {
 
     /// Commit of a snapshot transaction: its data pages are already on
     /// the device (writes bypassed the cache), so only dirty metadata
-    /// images ride along before the device commit runs first-committer-
-    /// wins validation. A losing transaction surfaces as [`FsError::Dev`]
-    /// wrapping `DevError::Conflict`; the device has already rolled it
-    /// back, and the in-RAM metadata is re-read from committed state
-    /// before the error propagates.
-    fn fsync_snapshot(&mut self, tid: Tid) -> Result<()> {
-        let ops = self.tx_ops()?;
+    /// images ride along before `commit` — the device's blocking or
+    /// split-phase commit — runs first-committer-wins validation. A losing
+    /// transaction surfaces here as [`FsError::Dev`] wrapping
+    /// `DevError::Conflict`; the device has already rolled it back, and
+    /// the in-RAM metadata is re-read from committed state before the
+    /// error propagates.
+    fn commit_snapshot<T>(
+        &mut self,
+        ops: TxOps<D>,
+        tid: Tid,
+        commit: fn(&mut D, Tid) -> xftl_ftl::Result<T>,
+    ) -> Result<T> {
         self.stats.fsyncs += 1;
         let t0 = self.span_start();
         let metas = self.collect_meta_images()?;
         self.stats.meta_writes += metas.len() as u64;
-        let res = (|| {
-            if !metas.is_empty() {
-                let batch: Vec<(Lpn, &[u8])> =
-                    metas.iter().map(|(l, d)| (*l, d.as_slice())).collect();
-                (ops.submit_tx)(&mut self.dev, tid, &batch)?;
-            }
-            (ops.commit)(&mut self.dev, tid)
-        })();
+        let res = self
+            .submit_batch(ops, tid, &metas)
+            .and_then(|()| commit(&mut self.dev, tid));
         self.snapshot_tids.remove(&tid);
         match res {
-            Ok(()) => {
-                self.stats.barriers += 1;
+            Ok(out) => {
                 self.record_fsync(tid, t0);
-                Ok(())
+                Ok(out)
             }
             Err(e) => {
                 self.reload_metadata()?;
@@ -895,26 +884,8 @@ impl<D: BlockDevice> FileSystem<D> {
         let ops = self.tx_ops()?;
         self.stats.fsyncs += 1;
         let dirty = self.cache.dirty_of(ino);
-        let mut pages: Vec<(Lpn, Vec<u8>)> = Vec::with_capacity(dirty.len());
-        for lpn in dirty {
-            let Some(p) = self.cache.get_mut(lpn) else {
-                unreachable!("dirty page in cache")
-            };
-            p.dirty = false;
-            p.tid = None;
-            pages.push((lpn, p.data.clone()));
-        }
-        self.stats.data_writes += pages.len() as u64;
-        let metas = self.collect_meta_images()?;
-        self.stats.meta_writes += metas.len() as u64;
-        pages.extend(metas);
-        if !pages.is_empty() {
-            // One queued batch; the deferred commit is the barrier that
-            // waits for it.
-            let batch: Vec<(Lpn, &[u8])> = pages.iter().map(|(l, d)| (*l, d.as_slice())).collect();
-            (ops.submit_tx)(&mut self.dev, tid, &batch)?;
-        }
-        Ok(())
+        // The deferred commit is the barrier that waits for the batch.
+        self.flush_off(ops, tid, &dirty)
     }
 
     /// Issues the device commit sealing a multi-file transaction whose
@@ -940,64 +911,19 @@ impl<D: BlockDevice> FileSystem<D> {
         if self.mode != JournalMode::Off {
             return Err(FsError::NeedsTxDevice);
         }
-        if self.snapshot_tids.contains(&tid) {
-            return self.fsync_submit_snapshot(tid);
-        }
         let ops = self.tx_ops()?;
+        if self.snapshot_tids.contains(&tid) {
+            // Validation and visibility happen at `commit_submit`,
+            // durability at the group flush named by the ticket.
+            return self.commit_snapshot(ops, tid, ops.commit_submit);
+        }
         self.stats.fsyncs += 1;
         let t0 = self.span_start();
         let dirty = self.cache.dirty_of(ino);
-        let mut pages: Vec<(Lpn, Vec<u8>)> = Vec::with_capacity(dirty.len());
-        for lpn in dirty {
-            let Some(p) = self.cache.get_mut(lpn) else {
-                unreachable!("dirty page in cache")
-            };
-            p.dirty = false;
-            p.tid = None;
-            pages.push((lpn, p.data.clone()));
-        }
-        self.stats.data_writes += pages.len() as u64;
-        let metas = self.collect_meta_images()?;
-        self.stats.meta_writes += metas.len() as u64;
-        pages.extend(metas);
-        if !pages.is_empty() {
-            let batch: Vec<(Lpn, &[u8])> = pages.iter().map(|(l, d)| (*l, d.as_slice())).collect();
-            (ops.submit_tx)(&mut self.dev, tid, &batch)?;
-        }
+        self.flush_off(ops, tid, &dirty)?;
         let ticket = (ops.commit_submit)(&mut self.dev, tid)?;
         self.record_fsync(tid, t0);
         Ok(ticket)
-    }
-
-    /// Split-phase flavor of [`FileSystem::fsync_snapshot`]: validation
-    /// and visibility happen at `commit_submit`, durability at the group
-    /// flush named by the returned ticket. Conflicts surface here, not at
-    /// the wait.
-    fn fsync_submit_snapshot(&mut self, tid: Tid) -> Result<CommitTicket> {
-        let ops = self.tx_ops()?;
-        self.stats.fsyncs += 1;
-        let t0 = self.span_start();
-        let metas = self.collect_meta_images()?;
-        self.stats.meta_writes += metas.len() as u64;
-        let res = (|| {
-            if !metas.is_empty() {
-                let batch: Vec<(Lpn, &[u8])> =
-                    metas.iter().map(|(l, d)| (*l, d.as_slice())).collect();
-                (ops.submit_tx)(&mut self.dev, tid, &batch)?;
-            }
-            (ops.commit_submit)(&mut self.dev, tid)
-        })();
-        self.snapshot_tids.remove(&tid);
-        match res {
-            Ok(ticket) => {
-                self.record_fsync(tid, t0);
-                Ok(ticket)
-            }
-            Err(e) => {
-                self.reload_metadata()?;
-                Err(e.into())
-            }
-        }
     }
 
     /// Redeems a ticket from [`FileSystem::fsync_submit`], blocking until
@@ -1025,25 +951,7 @@ impl<D: BlockDevice> FileSystem<D> {
                     Some(t) => t,
                     None => self.begin_tx(),
                 };
-                // The whole transaction — data pages plus dirty metadata —
-                // goes to the device as one queued batch, which a
-                // channel-parallel FTL overlaps across its channels.
-                let mut pages: Vec<(Lpn, Vec<u8>)> = Vec::with_capacity(dirty.len());
-                for &lpn in dirty {
-                    let Some(p) = self.cache.get_mut(lpn) else {
-                        unreachable!("dirty page in cache")
-                    };
-                    p.dirty = false;
-                    p.tid = None;
-                    pages.push((lpn, p.data.clone()));
-                }
-                self.stats.data_writes += pages.len() as u64;
-                let metas = self.collect_meta_images()?;
-                self.stats.meta_writes += metas.len() as u64;
-                pages.extend(metas);
-                let batch: Vec<(Lpn, &[u8])> =
-                    pages.iter().map(|(l, d)| (*l, d.as_slice())).collect();
-                (ops.submit_tx)(&mut self.dev, tid, &batch)?;
+                self.flush_off(ops, tid, dirty)?;
                 // One command replaces both barriers: the device waits for
                 // the queued batch and makes the whole transaction durable
                 // and atomic.
@@ -1054,14 +962,7 @@ impl<D: BlockDevice> FileSystem<D> {
                 // Data first, in place — one queued batch; the journal
                 // barrier below completes the queue before the commit
                 // page can land.
-                let mut pages: Vec<(Lpn, Vec<u8>)> = Vec::with_capacity(dirty.len());
-                for &lpn in dirty {
-                    let Some(p) = self.cache.get_mut(lpn) else {
-                        unreachable!("dirty page in cache")
-                    };
-                    p.dirty = false;
-                    pages.push((lpn, p.data.clone()));
-                }
+                let pages = self.cache.take_dirty(dirty);
                 self.stats.data_writes += pages.len() as u64;
                 if !pages.is_empty() {
                     let cmds: Vec<IoCmd<'_>> = pages
@@ -1076,19 +977,40 @@ impl<D: BlockDevice> FileSystem<D> {
             JournalMode::Full => {
                 // Data rides inside the journal transaction; home writes
                 // are owed at checkpoint (each page written twice).
-                let mut entries: Vec<(Lpn, Vec<u8>)> = Vec::with_capacity(dirty.len());
-                for &lpn in dirty {
-                    let Some(p) = self.cache.get_mut(lpn) else {
-                        unreachable!("dirty page in cache")
-                    };
-                    p.dirty = false;
-                    entries.push((lpn, p.data.clone()));
-                }
+                let mut entries = self.cache.take_dirty(dirty);
                 self.stats.data_writes += entries.len() as u64;
                 let metas = self.collect_meta_images()?;
                 entries.extend(metas);
                 self.journal_txn(&entries)?;
             }
+        }
+        Ok(())
+    }
+
+    /// The `Off`-mode flush of `fsync`, `fsync_submit` and
+    /// `fsync_defer_commit`: the `dirty` pages leave the page cache and,
+    /// with every dirty metadata image, reach the device as one queued
+    /// batch under `tid`, which a channel-parallel FTL overlaps across its
+    /// channels. The caller issues (or defers) the commit.
+    fn flush_off(&mut self, ops: TxOps<D>, tid: Tid, dirty: &[Lpn]) -> Result<()> {
+        let mut pages = self.cache.take_dirty(dirty);
+        self.stats.data_writes += pages.len() as u64;
+        let metas = self.collect_meta_images()?;
+        self.stats.meta_writes += metas.len() as u64;
+        pages.extend(metas);
+        Ok(self.submit_batch(ops, tid, &pages)?)
+    }
+
+    /// Hands `pages` to the device as one queued batch under `tid`.
+    fn submit_batch(
+        &mut self,
+        ops: TxOps<D>,
+        tid: Tid,
+        pages: &[(Lpn, Vec<u8>)],
+    ) -> xftl_ftl::Result<()> {
+        if !pages.is_empty() {
+            let batch: Vec<(Lpn, &[u8])> = pages.iter().map(|(l, d)| (*l, d.as_slice())).collect();
+            (ops.submit_tx)(&mut self.dev, tid, &batch)?;
         }
         Ok(())
     }
@@ -1199,16 +1121,32 @@ impl<D: BlockDevice> FileSystem<D> {
         Ok(())
     }
 
+    /// Cached page `lpn` of `ino` for a partial overwrite. A miss caches
+    /// it clean: read from the device when `fetch`, else zero-filled.
+    fn page_for_write(
+        &mut self,
+        ino: Ino,
+        lpn: Lpn,
+        fetch: bool,
+        tid: Option<Tid>,
+    ) -> Result<&mut CachedPage> {
+        let mut image = Vec::new();
+        if !self.cache.contains(lpn) {
+            image = vec![0u8; self.page_size()];
+            if fetch {
+                self.read_dev_page(lpn, &mut image, tid)?;
+            }
+        }
+        Ok(self.cache.get_or_insert(lpn, ino, image))
+    }
+
     /// Existing block of file block `idx`, or `None` for a hole.
     fn block_of(&mut self, ino: Ino, idx: u64) -> Result<Option<Lpn>> {
         if (idx as usize) < NDIRECT {
             let lpn = self.inodes[ino as usize].direct[idx as usize];
             return Ok((lpn != 0).then_some(lpn));
         }
-        self.load_map(ino)?;
-        let Some(map) = self.maps.get(&ino) else {
-            unreachable!("loaded above")
-        };
+        let map = self.load_map(ino)?;
         let i = idx as usize - NDIRECT;
         Ok(map.entries.get(i).copied().filter(|&l| l != 0))
     }
@@ -1237,17 +1175,9 @@ impl<D: BlockDevice> FileSystem<D> {
         let epp = map_entries_per_page(ps);
         // Grow the entry array and the chain to cover index i.
         let needed_pages = (i + 1).div_ceil(epp);
-        loop {
-            let Some(map) = self.maps.get_mut(&ino) else {
-                unreachable!("loaded by block_of")
-            };
-            if map.pages.len() >= needed_pages {
-                break;
-            }
+        while self.load_map(ino)?.pages.len() < needed_pages {
             let new_page = self.bitmap.alloc(self.sb.data_start)?;
-            let Some(map) = self.maps.get_mut(&ino) else {
-                unreachable!("loaded")
-            };
+            let map = self.load_map(ino)?;
             if let Some(last) = map.dirty.last_mut() {
                 *last = true; // previous tail gains a next pointer
             }
@@ -1258,9 +1188,7 @@ impl<D: BlockDevice> FileSystem<D> {
                 self.mark_inode_dirty(ino);
             }
         }
-        let Some(map) = self.maps.get_mut(&ino) else {
-            unreachable!("loaded")
-        };
+        let map = self.load_map(ino)?;
         if map.entries.len() <= i {
             map.entries.resize(i + 1, 0);
         }
@@ -1269,13 +1197,14 @@ impl<D: BlockDevice> FileSystem<D> {
         Ok(lpn)
     }
 
-    /// Loads the block-map chain of `ino` into RAM if not present.
-    fn load_map(&mut self, ino: Ino) -> Result<()> {
-        if self.maps.contains_key(&ino) {
-            return Ok(());
-        }
-        let mut map = BlockMap::default();
+    /// The block-map chain of `ino`, loaded into RAM if not present.
+    fn load_map(&mut self, ino: Ino) -> Result<&mut BlockMap> {
         let ps = self.page_size();
+        let slot = match self.maps.entry(ino) {
+            Entry::Occupied(e) => return Ok(e.into_mut()),
+            Entry::Vacant(v) => v,
+        };
+        let mut map = BlockMap::default();
         let mut next = self.inodes[ino as usize].map_root;
         let mut buf = vec![0u8; ps];
         while next != 0 {
@@ -1290,8 +1219,7 @@ impl<D: BlockDevice> FileSystem<D> {
                 map.entries.push(get_u64(&buf, o));
             }
         }
-        self.maps.insert(ino, map);
-        Ok(())
+        Ok(slot.insert(map))
     }
 
     fn encode_map_page(&self, ino: Ino, page_idx: usize) -> Vec<u8> {
@@ -1454,17 +1382,14 @@ impl<D: BlockDevice> FileSystem<D> {
                     claim(lpn, &mut report, &self.bitmap);
                 }
             }
-            self.load_map(ino)?;
-            if let Some(map) = self.maps.get(&ino) {
-                let entries = map.entries.clone();
-                let pages = map.pages.clone();
-                for lpn in pages {
+            let map = self.load_map(ino)?;
+            let (entries, pages) = (map.entries.clone(), map.pages.clone());
+            for lpn in pages {
+                claim(lpn, &mut report, &self.bitmap);
+            }
+            for lpn in entries {
+                if lpn != 0 {
                     claim(lpn, &mut report, &self.bitmap);
-                }
-                for lpn in entries {
-                    if lpn != 0 {
-                        claim(lpn, &mut report, &self.bitmap);
-                    }
                 }
             }
         }

@@ -11,9 +11,8 @@ use xftl_db::{Connection, DbJournalMode, SharedFs};
 use xftl_flash::{AgingModel, FaultPlan, FlashChip, FlashConfigBuilder, Nanos, SimClock};
 use xftl_fs::{FileSystem, FsConfig, FsError, FsStats, Ino, JournalMode};
 use xftl_ftl::{
-    AtomicWriteFtl, BlockDevice, CmdId, CommitTicket, DevCounters, DevError, DeviceState, FtlStats,
-    GcPolicy, IoCmd, LinkConfig, Lpn, PageMappedFtl, Result, SataLink, ScrubConfig, Tid,
-    TxBlockDevice,
+    BlockDevice, CmdId, CommitTicket, DevCounters, DevError, DeviceState, FtlStats, GcPolicy,
+    IoCmd, LinkConfig, Lpn, PageMappedFtl, Result, SataLink, ScrubConfig, Tid, TxBlockDevice,
 };
 
 use xftl_trace::Telemetry;
@@ -81,7 +80,6 @@ pub enum Profile {
 pub enum AnyDev {
     Plain(SataLink<PageMappedFtl>),
     X(SataLink<XFtl>),
-    AtomicW(SataLink<AtomicWriteFtl>),
 }
 
 macro_rules! fwd {
@@ -89,7 +87,6 @@ macro_rules! fwd {
         match $self {
             AnyDev::Plain($d) => $body,
             AnyDev::X($d) => $body,
-            AnyDev::AtomicW($d) => $body,
         }
     };
 }
@@ -187,7 +184,6 @@ impl AnyDev {
         match self {
             AnyDev::Plain(d) => *d.inner().stats(),
             AnyDev::X(d) => *d.inner().stats(),
-            AnyDev::AtomicW(d) => *d.inner().stats(),
         }
     }
 
@@ -196,7 +192,6 @@ impl AnyDev {
         match self {
             AnyDev::Plain(d) => d.inner().flash_stats(),
             AnyDev::X(d) => d.inner().flash_stats(),
-            AnyDev::AtomicW(d) => d.inner().flash_stats(),
         }
     }
 
@@ -205,7 +200,6 @@ impl AnyDev {
         match self {
             AnyDev::Plain(d) => d.inner_mut().reset_stats(),
             AnyDev::X(d) => d.inner_mut().reset_stats(),
-            AnyDev::AtomicW(d) => d.inner_mut().reset_stats(),
         }
     }
 
@@ -217,7 +211,6 @@ impl AnyDev {
         match self {
             AnyDev::Plain(d) => d.inner().base().recorder().clone(),
             AnyDev::X(d) => d.inner().base().recorder().clone(),
-            AnyDev::AtomicW(d) => d.inner().base().recorder().clone(),
         }
     }
 
@@ -228,7 +221,6 @@ impl AnyDev {
         match self {
             AnyDev::Plain(d) => d.inner_mut().base_mut().set_scrub_config(cfg),
             AnyDev::X(d) => d.inner_mut().base_mut().set_scrub_config(cfg),
-            AnyDev::AtomicW(d) => d.inner_mut().base_mut().set_scrub_config(cfg),
         }
     }
 
@@ -238,7 +230,6 @@ impl AnyDev {
         match self {
             AnyDev::Plain(d) => d.inner().base().device_state(),
             AnyDev::X(d) => d.inner().base().device_state(),
-            AnyDev::AtomicW(d) => d.inner().base().device_state(),
         }
     }
 
@@ -247,7 +238,6 @@ impl AnyDev {
         match self {
             AnyDev::Plain(d) => d.inner().base().bad_block_count(),
             AnyDev::X(d) => d.inner().base().bad_block_count(),
-            AnyDev::AtomicW(d) => d.inner().base().bad_block_count(),
         }
     }
 }
@@ -433,7 +423,6 @@ impl Rig {
         match &mut dev {
             AnyDev::Plain(d) => d.inner_mut().base_mut().set_gc_policy(cfg.gc_policy),
             AnyDev::X(d) => d.inner_mut().base_mut().set_gc_policy(cfg.gc_policy),
-            AnyDev::AtomicW(d) => d.inner_mut().base_mut().set_gc_policy(cfg.gc_policy),
         }
         dev.set_scrub_config(cfg.scrub);
         if let Some(aging) = cfg.aging {
@@ -501,7 +490,6 @@ impl Rig {
         let (ftl, flash) = match dev {
             AnyDev::Plain(d) => (*d.inner().stats(), d.inner().flash_stats()),
             AnyDev::X(d) => (*d.inner().stats(), d.inner().flash_stats()),
-            AnyDev::AtomicW(d) => (*d.inner().stats(), d.inner().flash_stats()),
         };
         Snapshot {
             fs: *fs.stats(),
@@ -583,21 +571,12 @@ impl Rig {
                     clock.clone(),
                 ))
             }
-            AnyDev::AtomicW(link) => {
-                let chip = link.into_inner().into_chip();
-                AnyDev::AtomicW(SataLink::new(
-                    AtomicWriteFtl::recover(chip).expect("recover"),
-                    link_for(cfg.profile),
-                    clock.clone(),
-                ))
-            }
         };
         let recovery_ns = clock.now() - t0;
         let mut dev = dev;
         match &mut dev {
             AnyDev::Plain(d) => d.inner_mut().base_mut().set_gc_policy(cfg.gc_policy),
             AnyDev::X(d) => d.inner_mut().base_mut().set_gc_policy(cfg.gc_policy),
-            AnyDev::AtomicW(d) => d.inner_mut().base_mut().set_gc_policy(cfg.gc_policy),
         }
         dev.set_scrub_config(cfg.scrub);
         let fs = Self::mount_any(dev, &clock, &cfg);

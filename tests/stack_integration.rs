@@ -212,7 +212,6 @@ mod xftl_bench_shim {
                     breakdown.xl2p_ns,
                 )
             }
-            AnyDev::AtomicW(_) => unreachable!(),
         };
         let rig2 = WRig::reassemble(dev, clock, cfg);
         let t0 = rig2.clock.now();
